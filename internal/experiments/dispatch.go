@@ -80,7 +80,8 @@ type DispatchResult struct {
 	// Nodes are the workerd advertisements that joined the pool.
 	Nodes []*grid.Node
 	// RemoteStats snapshots the transport counters: proof that tasks
-	// crossed the wire (Execs) sealed under shipped bindings (Rekeys).
+	// crossed the wire (Execs — exec round trips, one per frame, so a
+	// batch counts once) sealed under shipped bindings (Rekeys).
 	RemoteStats wire.StatsSnapshot
 	// RemoteWorkers is the farm's remote-worker count at end of run.
 	RemoteWorkers int

@@ -1,13 +1,15 @@
-// The manager-link seam: the parent/child reporting channel of the P_spl
-// hierarchy made pluggable, so a child manager can live in a different
-// process from its parent. The default (no link installed) keeps the
-// in-process direct path of reportViolation byte for byte; a RemoteLink
-// (remotelink.go) carries the same traffic over internal/wire's sealed
-// frames with lease-based failure detection and downtime catch-up.
+// The manager link: the parent/child reporting channel of the P_spl
+// hierarchy. Every child reports through a Link, so parking, in-order
+// re-delivery and catch-up have one implementation whether the parent
+// shares the process or not: an in-process parent is a localLink over its
+// *Manager, a parent in another process a RemoteLink (remotelink.go)
+// over internal/wire's sealed frames with lease-based failure detection
+// and downtime catch-up.
 package manager
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/trace"
@@ -44,11 +46,11 @@ func (s LinkState) String() string {
 // Link is the child side of a parent/child management channel. Deliver
 // either hands the violation to the parent exactly once or returns an
 // error, in which case the caller parks it in the manager's bounded
-// violation buffer — the same buffer an in-process parent crash uses — and
-// re-delivers after reattach per the link's catch-up policy.
+// violation buffer and re-delivers it at a later flush.
 type Link interface {
-	// Deliver sends one violation to the parent. An error means the link
-	// is down (or went down mid-send) and the violation was NOT delivered.
+	// Deliver sends one violation to the parent. An error means the
+	// violation was NOT delivered: the link is down (or went down
+	// mid-send), or the parent refused it with ErrParentBusy.
 	Deliver(v Violation) error
 	// Down reports whether the link is currently unusable for delivery.
 	Down() bool
@@ -59,20 +61,57 @@ type Link interface {
 	TakeCatchUp() int
 }
 
-// SetLink installs the parent link. Install before the control loop
-// starts; a nil link (the default) keeps the in-process parent path.
+// ErrParentBusy is the refusal of a parent whose violation queue is full.
+// It is backpressure, not a partition: the child parks the violation and
+// re-delivers it at its next flush, and the link's state does not move.
+var ErrParentBusy = errors.New("manager: parent violation queue full")
+
+// SetLink installs the link to a parent in another process. Install
+// before the control loop starts; a nil link (the default) reports to the
+// in-process parent set by AttachChild.
 func (m *Manager) SetLink(l Link) {
 	m.mu.Lock()
 	m.link = l
 	m.mu.Unlock()
 }
 
-// Link returns the installed parent link (nil for in-process hierarchies).
+// Link returns the parent link: the installed one, else a localLink over
+// the in-process parent, else nil at the root.
 func (m *Manager) Link() Link {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.link == nil && m.parent != nil {
+		return localLink{m.parent}
+	}
 	return m.link
 }
+
+// localLink is an in-process parent seen as a Link. Failure detection is
+// the parent's crash flag; there is no lease and nothing to catch up,
+// because a parent in the same process misses none of its child's cycles.
+type localLink struct{ parent *Manager }
+
+// Deliver enqueues v on the parent's violation queue.
+func (l localLink) Deliver(v Violation) error {
+	if l.Down() {
+		return ErrLinkDown
+	}
+	return l.parent.deliver(v)
+}
+
+// Down reports whether the parent is crashed and not yet restored.
+func (l localLink) Down() bool { return l.parent.Crashed() }
+
+// State is partitioned while the parent is crashed, up otherwise.
+func (l localLink) State() LinkState {
+	if l.Down() {
+		return LinkPartitioned
+	}
+	return LinkUp
+}
+
+// TakeCatchUp is always 0.
+func (localLink) TakeCatchUp() int { return 0 }
 
 // CycleSeq returns the manager's MAPE cycle counter: incremented once per
 // completed RunOnce, checkpointed, and acknowledged by the parent endpoint
@@ -101,8 +140,8 @@ func (m *Manager) CatchUpCycles() uint64 { return m.catchUpCycles.Load() }
 // runCatchUp runs the catch-up cycles the link owes after a reattach:
 // extra RunOnce iterations flagged CatchUp in their decision records, so
 // the trace distinguishes a re-evaluation covering a partition window from
-// a live cycle. Called by Run after each iteration; a no-op without a link
-// or without a pending reattach.
+// a live cycle. Called by Run after each iteration; a no-op at the root
+// and without a pending reattach.
 func (m *Manager) runCatchUp(ctx context.Context) {
 	l := m.Link()
 	if l == nil {

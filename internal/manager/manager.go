@@ -154,9 +154,9 @@ type Manager struct {
 	state    State
 	parent   *Manager
 	children []*Manager
-	// link, when set, replaces the direct in-process parent path: the
-	// child's violations travel the link and failure detection is the
-	// link's lease, not parent.Crashed().
+	// link, when set, carries the child's violations to a parent in
+	// another process; without one the in-process parent is reached
+	// through a localLink (see Link).
 	link Link
 
 	violations chan Violation
@@ -414,12 +414,15 @@ func (m *Manager) AssignContract(c contract.Contract) error {
 	return nil
 }
 
-// deliver enqueues a child violation; overflowing reports are dropped (a
-// slow parent must not stall its children's control loops).
-func (m *Manager) deliver(v Violation) {
+// deliver enqueues a child violation. A full queue refuses it with
+// ErrParentBusy rather than blocking — a slow parent must not stall its
+// children's control loops — and the refused child keeps it parked.
+func (m *Manager) deliver(v Violation) error {
 	select {
 	case m.violations <- v:
+		return nil
 	default:
+		return ErrParentBusy
 	}
 }
 
@@ -449,8 +452,9 @@ func (m *Manager) noteAction(op, detail string, err error) {
 // root) and marks this cycle as violation-raising. With tracing on, the
 // violation carries the cycle's causality id (allocating one if this
 // cycle has none yet), so the parent's reaction records chain to ours.
-// While the parent is down (crashed and not yet restored), the violation
-// is parked in the bounded buffer instead and re-delivered on recovery.
+// A violation the link does not take — parent crashed or partitioned, a
+// drop mid-send, a full parent queue — is parked in the bounded buffer
+// and re-delivered in order by the next flush.
 func (m *Manager) reportViolation(tag string, snap contract.Snapshot) {
 	m.cycleViolation = true
 	if m.cycleOpen && m.cycleCause == 0 && m.tracer != nil {
@@ -460,9 +464,8 @@ func (m *Manager) reportViolation(tag string, snap contract.Snapshot) {
 		m.spanRing.AttachCause(m.cycleCause, 32)
 	}
 	m.event(trace.RaiseViol, tag)
-	parent := m.Parent()
-	link := m.Link()
-	if parent == nil && link == nil {
+	l := m.Link()
+	if l == nil { // the root: nobody above to report to
 		return
 	}
 	m.escalations.Add(1)
@@ -470,20 +473,9 @@ func (m *Manager) reportViolation(tag string, snap contract.Snapshot) {
 		From: m.cfg.Name, Tag: tag, Snapshot: snap,
 		When: m.clock.Now(), CauseID: m.cycleCause,
 	}
-	if link != nil {
-		// Over a link the parent may live in another process; delivery
-		// failure (partition, drop mid-send) parks the violation in the
-		// same bounded buffer an in-process parent crash uses.
-		if link.Down() || link.Deliver(v) != nil {
-			m.bufferViolation(v)
-		}
-		return
-	}
-	if parent.Crashed() {
+	if l.Down() || l.Deliver(v) != nil {
 		m.bufferViolation(v)
-		return
 	}
-	parent.deliver(v)
 }
 
 // Escalate forwards a violation up the hierarchy. Intermediate managers —

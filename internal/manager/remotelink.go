@@ -36,9 +36,10 @@ import (
 	"repro/internal/trace"
 )
 
-// ErrLinkDown is returned by RemoteLink.Deliver while the link is
-// partitioned or an exchange fails mid-flight; the manager parks the
-// violation in its bounded buffer and re-delivers after reattach.
+// ErrLinkDown is returned by a Link's Deliver while the link is down —
+// parent crashed, link partitioned, or an exchange failed mid-flight; the
+// manager parks the violation in its bounded buffer and re-delivers after
+// reattach.
 var ErrLinkDown = errors.New("manager: link down")
 
 // mgmtMsg is one management-plane request. The wire layer ships it as an
@@ -74,6 +75,9 @@ type mgmtReply struct {
 	// Dup marks a violation report suppressed by causality-id dedup (it
 	// was already delivered — a flush raced a partition).
 	Dup bool `json:"dup,omitempty"`
+	// Busy marks a violation report refused because the parent's queue
+	// is full: the child parks and re-sends it, the link stays up.
+	Busy bool `json:"busy,omitempty"`
 	// Contract is the re-split sub-contract in contract.Describe text.
 	Contract string `json:"contract,omitempty"`
 	// Prepare outcome: the binding codec crossing back rekey-style.
@@ -201,9 +205,8 @@ func (l *RemoteLink) Down() bool { return l.State() == LinkPartitioned }
 // collapsing a reattached link back to up.
 func (l *RemoteLink) TakeCatchUp() int {
 	n := l.catchUp.Swap(0)
-	if l.state.CompareAndSwap(int32(LinkReattached), int32(LinkUp)) && n > 0 {
-		// trace of the transition happened at reattach; nothing to log here
-	}
+	// The transition was traced at reattach; nothing to log here.
+	l.state.CompareAndSwap(int32(LinkReattached), int32(LinkUp))
 	return int(n)
 }
 
@@ -271,8 +274,8 @@ func (l *RemoteLink) exchange(msg mgmtMsg) (mgmtReply, error) {
 
 // Deliver implements Link: one violation report to the parent. A
 // successful exchange renews the lease (a report proves liveness as well
-// as a heartbeat does); any failure degrades the link and returns an
-// error so the manager buffers.
+// as a heartbeat does), a busy refusal included; any failure degrades the
+// link and returns an error so the manager buffers.
 func (l *RemoteLink) Deliver(v Violation) error {
 	if l.Down() {
 		l.bufferedAt.Add(1)
@@ -282,18 +285,19 @@ func (l *RemoteLink) Deliver(v Violation) error {
 		Op: "report", Child: l.child.Name(),
 		CycleSeq: l.child.CycleSeq(), Violation: &v,
 	})
+	if err == nil && !rep.OK && !rep.Busy {
+		err = errors.New(rep.Err)
+	}
 	if err != nil {
 		l.bufferedAt.Add(1)
 		l.degrade(err)
 		return fmt.Errorf("%w: %v", ErrLinkDown, err)
 	}
-	if !rep.OK {
-		l.bufferedAt.Add(1)
-		l.degrade(errors.New(rep.Err))
-		return fmt.Errorf("%w: %s", ErrLinkDown, rep.Err)
-	}
 	l.renewLease()
 	l.child.setAckedCycle(l.child.CycleSeq())
+	if rep.Busy {
+		return ErrParentBusy
+	}
 	if !rep.Dup {
 		l.delivered.Add(1)
 	}
@@ -421,8 +425,8 @@ func (l *RemoteLink) Run(ctx context.Context) error {
 				}
 				return l.attach()
 			}, nil)
-		} else if err := l.attach(); err == nil {
-			// lease renewed
+		} else {
+			_ = l.attach() // a failure already degraded the link
 		}
 		select {
 		case <-ctx.Done():
@@ -611,24 +615,28 @@ func (e *ParentEndpoint) lease(msg mgmtMsg) mgmtReply {
 }
 
 // report handles one violation report: causality-id dedup, then delivery
-// onto the parent's ordinary violation queue.
+// onto the parent's ordinary violation queue. Dedup, enqueue and the cause
+// record happen under one lock: a report the full queue refuses leaves no
+// trace — not counted, its cause not recorded, so the retry is not taken
+// for a duplicate — and is answered Busy.
 func (e *ParentEndpoint) report(msg mgmtMsg) mgmtReply {
 	if msg.Violation == nil {
 		return mgmtReply{Err: "report without violation"}
 	}
 	c, prev := e.touch(msg.Child, msg.CycleSeq)
 	v := *msg.Violation
-	if v.CauseID != 0 {
-		e.mu.Lock()
-		if _, dup := c.seen[v.CauseID]; dup {
-			e.mu.Unlock()
-			e.duplicates.Add(1)
-			return mgmtReply{OK: true, Dup: true, Acked: prev}
-		}
-		c.seen[v.CauseID] = struct{}{}
-		e.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, dup := c.seen[v.CauseID]; dup { // cause 0 is never recorded
+		e.duplicates.Add(1)
+		return mgmtReply{OK: true, Dup: true, Acked: prev}
 	}
-	e.cfg.Parent.deliver(v)
+	if err := e.cfg.Parent.deliver(v); err != nil {
+		return mgmtReply{Err: err.Error(), Busy: true, Acked: prev}
+	}
+	if v.CauseID != 0 {
+		c.seen[v.CauseID] = struct{}{}
+	}
 	e.delivered.Add(1)
 	return mgmtReply{OK: true, Acked: prev}
 }

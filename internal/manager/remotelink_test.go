@@ -531,3 +531,47 @@ func TestRemoteLinkFlapStressWire(t *testing.T) {
 		return func(req []byte) ([]byte, error) { return fac.Mgmt(addr, req) }
 	})
 }
+
+// TestRemoteFullParentQueueParksViolations is the remote face of the
+// full-queue refusal: the endpoint answers Busy without counting the
+// report or recording its cause, the link stays up, and the parked
+// reports cross at the child's next flush — handled == Delivered() ==
+// UniqueCauses(), nothing lost and nothing taken for a duplicate.
+func TestRemoteFullParentQueueParksViolations(t *testing.T) {
+	child, parent, ep, link, _, _ := newLinkedPair(t, CatchUpLatest)
+	handled := 0
+	parent.cfg.Policy.OnChildViolation = func(*Manager, Violation) { handled++ }
+	if err := link.attach(); err != nil {
+		t.Fatal(err)
+	}
+
+	raiseDistinct(child, overQueue)
+	queued := uint64(cap(parent.violations))
+	if ep.Delivered() != queued || ep.UniqueCauses() != queued {
+		t.Fatalf("before drain: delivered=%d unique=%d, want %d (the queue size)",
+			ep.Delivered(), ep.UniqueCauses(), queued)
+	}
+	if got := uint64(child.BufferedViolations()); got != overQueue-queued {
+		t.Fatalf("parked %d violations, want %d", got, overQueue-queued)
+	}
+	if st := link.State(); st != LinkUp {
+		t.Fatalf("link state under a full queue = %v, want up", st)
+	}
+
+	for _, m := range []*Manager{parent, child, parent} {
+		if err := m.RunOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if uint64(handled) != ep.Delivered() || ep.Delivered() != ep.UniqueCauses() || handled != overQueue {
+		t.Fatalf("handled=%d delivered=%d unique=%d, want all %d",
+			handled, ep.Delivered(), ep.UniqueCauses(), overQueue)
+	}
+	if ep.Duplicates() != 0 || child.BufferedViolations() != 0 || child.ViolationDrops() != 0 {
+		t.Fatalf("dup=%d buffered=%d dropped=%d, want 0/0/0",
+			ep.Duplicates(), child.BufferedViolations(), child.ViolationDrops())
+	}
+	if st := link.State(); st != LinkUp {
+		t.Fatalf("link state after drain = %v, want up", st)
+	}
+}

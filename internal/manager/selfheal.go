@@ -6,7 +6,8 @@
 // MAPE cycle, and replays the checkpoint on restart, re-attaching to the
 // hierarchy by asking its parent to re-split the live contract (P_spl).
 // While a parent is down, child violations are buffered in a bounded
-// drop-oldest queue and re-delivered on recovery.
+// drop-oldest queue and re-delivered on recovery — over the same Link
+// whether the parent is in-process or remote.
 package manager
 
 import (
@@ -124,8 +125,8 @@ func (m *Manager) Crash() {
 }
 
 // Crashed reports whether the manager is down (crashed and not yet
-// restored). Children consult it to decide between delivering a violation
-// and buffering it.
+// restored). An in-process child's localLink reads it as link-down, so
+// the child buffers instead of delivering.
 func (m *Manager) Crashed() bool { return m.crashed.Load() }
 
 // Running reports whether the control loop is currently executing.
@@ -262,8 +263,9 @@ func (m *Manager) bufferViolation(v Violation) {
 }
 
 // flushBuffered re-delivers violations buffered across a parent outage
-// once the parent is back. Called at the top of every RunOnce. Over a
-// link, a delivery failure mid-flush re-parks the remainder in order.
+// (or refused by a full parent queue) once the link takes deliveries
+// again. Called at the top of every RunOnce; a delivery failure mid-flush
+// re-parks the remainder in order.
 func (m *Manager) flushBuffered() {
 	m.mu.Lock()
 	n := len(m.violBuf)
@@ -271,43 +273,28 @@ func (m *Manager) flushBuffered() {
 	if n == 0 {
 		return
 	}
-	if l := m.Link(); l != nil {
-		if l.Down() {
-			return
-		}
-		m.mu.Lock()
-		buf := m.violBuf
-		m.violBuf = nil
-		m.mu.Unlock()
-		sent := 0
-		for i, v := range buf {
-			if err := l.Deliver(v); err != nil {
-				m.mu.Lock()
-				m.violBuf = append(buf[i:], m.violBuf...)
-				m.mu.Unlock()
-				break
-			}
-			sent++
-		}
-		if sent > 0 {
-			m.log.Record(m.clock.Now(), m.cfg.Name, trace.RaiseViol,
-				fmt.Sprintf("re-delivered %d buffered violations", sent))
-		}
-		return
-	}
-	parent := m.Parent()
-	if parent == nil || parent.Crashed() {
+	l := m.Link()
+	if l == nil || l.Down() {
 		return
 	}
 	m.mu.Lock()
 	buf := m.violBuf
 	m.violBuf = nil
 	m.mu.Unlock()
-	for _, v := range buf {
-		parent.deliver(v)
+	sent := 0
+	for i, v := range buf {
+		if err := l.Deliver(v); err != nil {
+			m.mu.Lock()
+			m.violBuf = append(buf[i:], m.violBuf...)
+			m.mu.Unlock()
+			break
+		}
+		sent++
 	}
-	m.log.Record(m.clock.Now(), m.cfg.Name, trace.RaiseViol,
-		fmt.Sprintf("re-delivered %d buffered violations", len(buf)))
+	if sent > 0 {
+		m.log.Record(m.clock.Now(), m.cfg.Name, trace.RaiseViol,
+			fmt.Sprintf("re-delivered %d buffered violations", sent))
+	}
 }
 
 // BufferedViolations returns how many violations are currently parked

@@ -462,3 +462,50 @@ func TestViolationBufferCoalescesSameTagReRaises(t *testing.T) {
 		t.Fatalf("violDropped trace events = %d, want %d", got, wantDrops)
 	}
 }
+
+// overQueue is more violations than a parent's 256-slot queue holds, with
+// an overflow that fits the child's 64-slot buffer.
+const overQueue = 300
+
+// raiseDistinct escalates n violations from child, each with its own tag
+// and causality id, outside any MAPE cycle.
+func raiseDistinct(child *Manager, n int) {
+	for i := 0; i < n; i++ {
+		child.cycleCause = uint64(i + 1)
+		child.Escalate(fmt.Sprintf("tag%d", i), contract.Snapshot{})
+	}
+}
+
+// TestFullParentQueueParksViolations: a parent whose queue is full refuses
+// a report instead of dropping it. The child parks the overflow without
+// taking the parent for down, and re-delivers it once the parent drains,
+// so every violation is handled exactly once.
+func TestFullParentQueueParksViolations(t *testing.T) {
+	handled := 0
+	parent, _ := newTestManager(t, "P", &stub{}, nil, Policy{
+		OnChildViolation: func(*Manager, Violation) { handled++ },
+	})
+	child, _ := newTestManager(t, "C", &stub{}, nil, Policy{})
+	parent.AttachChild(child)
+
+	raiseDistinct(child, overQueue)
+	if got, want := child.BufferedViolations(), overQueue-cap(parent.violations); got != want {
+		t.Fatalf("parked %d violations, want %d", got, want)
+	}
+	if st := child.Link().State(); st != LinkUp {
+		t.Fatalf("link state under a full queue = %v, want up", st)
+	}
+
+	for _, m := range []*Manager{parent, child, parent} {
+		if err := m.RunOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if handled != overQueue || child.Escalations() != overQueue {
+		t.Fatalf("handled %d of %d escalations, want %d", handled, child.Escalations(), overQueue)
+	}
+	if child.BufferedViolations() != 0 || child.ViolationDrops() != 0 {
+		t.Fatalf("buffered=%d dropped=%d after drain, want 0/0",
+			child.BufferedViolations(), child.ViolationDrops())
+	}
+}

@@ -541,3 +541,36 @@ func TestCrossBindingRedistributionLoopback(t *testing.T) {
 		})
 	}
 }
+
+// FuzzUnpackResultInto feeds hostile result blobs to an envelope of n
+// tasks (ids 1..n). A refused blob must leave every payload untouched
+// (the two-pass atomicity contract); an accepted one must cover the blob
+// exactly. Without -fuzz the seed corpus runs as an ordinary test.
+func FuzzUnpackResultInto(f *testing.F) {
+	f.Add(AppendBatchResult(nil, []BatchEntry{{ID: 1, Payload: []byte("a")}, {ID: 2, Payload: []byte("bb")}}), uint8(2))
+	f.Add(AppendBatchResult(nil, []BatchEntry{{ID: 1}}), uint8(1))
+	f.Add(AppendBatchResult(nil, []BatchEntry{{ID: 2, Payload: []byte("x")}, {ID: 1}}), uint8(2))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(3))
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}, uint8(1))
+	f.Fuzz(func(t *testing.T, blob []byte, n uint8) {
+		tasks := make([]*Task, n)
+		for i := range tasks {
+			tasks[i] = &Task{ID: uint64(i + 1), Payload: []byte("orig")}
+		}
+		if err := unpackResultInto(blob, tasks); err != nil {
+			for _, tk := range tasks {
+				if string(tk.Payload) != "orig" {
+					t.Fatalf("refused blob mutated task %d: %q", tk.ID, tk.Payload)
+				}
+			}
+			return
+		}
+		size := 4
+		for _, tk := range tasks {
+			size += 12 + len(tk.Payload)
+		}
+		if size != len(blob) {
+			t.Fatalf("results cover %d of %d blob bytes", size, len(blob))
+		}
+	})
+}

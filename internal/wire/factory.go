@@ -25,15 +25,19 @@ type Factory struct {
 	faults  *linkFaults
 	stats   Stats
 
-	// controls are the long-lived per-address scrape sessions: the
-	// /cluster aggregation rides the wire protocol (a control frame over a
-	// cached session), not an HTTP fan-out. Redialed lazily on failure.
-	// mgmts are the per-address management-plane sessions; unlike scrape
-	// sessions they register on the chaos fault surface, because the whole
-	// point of the management link is that a partition takes it down.
+	// controls caches one long-lived control session per address and op,
+	// redialed lazily after a failure: the /cluster aggregation and the
+	// management plane ride the wire protocol, not an HTTP fan-out.
 	mu       sync.Mutex
-	controls map[string]*Session
-	mgmts    map[string]*Session
+	controls map[controlKey]*Session
+}
+
+// controlKey names a cached control session. Scrape and mgmt exchanges
+// never share a session, because the two classes sit on different sides
+// of the chaos fault surface (see control).
+type controlKey struct {
+	addr string
+	op   byte
 }
 
 // NewFactory builds a factory over the link's pre-shared key. timeout
@@ -101,82 +105,59 @@ func NodeFromHello(addr string, h Hello) *grid.Node {
 }
 
 // Scrape fetches the workerd node report from addr over the factory's
-// cached control session for that address, dialing one on first use (or
-// after a failure). The request and reply are control frames sealed under
-// the link's master codec. Control sessions deliberately do not register
-// on the chaos fault surface: the observability plane reports on faults,
-// it is not a victim of the link-drop actuator.
-func (f *Factory) Scrape(addr string) ([]byte, error) {
+// cached scrape session for that address.
+func (f *Factory) Scrape(addr string) ([]byte, error) { return f.control(addr, opStats, nil) }
+
+// Mgmt runs one management-plane exchange against addr over the factory's
+// cached mgmt session for that address.
+func (f *Factory) Mgmt(addr string, req []byte) ([]byte, error) {
+	return f.control(addr, opMgmt, req)
+}
+
+// control runs one control exchange against addr on the cached session
+// for (addr, op), dialing one on first use or after a failure. Mgmt
+// sessions ride the chaos fault surface: an injected partition stalls the
+// exchange and a link drop severs it mid-flight, so the remote management
+// plane sees exactly the faults the data plane does. Scrape sessions stay
+// off it: the observability plane reports on faults, it is not a victim
+// of the link-drop actuator.
+func (f *Factory) control(addr string, op byte, req []byte) ([]byte, error) {
+	key := controlKey{addr, op}
 	f.mu.Lock()
-	s := f.controls[addr]
+	s := f.controls[key]
 	f.mu.Unlock()
 	if s == nil || s.closed.Load() {
-		fresh, err := dialSession(addr, f.master, f.timeout, nil, &f.stats)
+		var faults *linkFaults
+		if op == opMgmt {
+			faults = f.faults
+		}
+		fresh, err := dialSession(addr, f.master, f.timeout, faults, &f.stats)
 		if err != nil {
 			return nil, err
+		}
+		if faults != nil {
+			faults.register(fresh)
 		}
 		f.mu.Lock()
 		if f.controls == nil {
-			f.controls = map[string]*Session{}
+			f.controls = map[controlKey]*Session{}
 		}
-		if old := f.controls[addr]; old != nil && old != s {
-			// Another scrape redialed concurrently; keep its session.
-			f.mu.Unlock()
-			_ = fresh.Close()
-			return f.Scrape(addr)
-		}
-		f.controls[addr] = fresh
-		f.mu.Unlock()
-		s = fresh
-	}
-	report, err := s.ScrapeStats()
-	if err != nil {
-		_ = s.Close()
-		f.mu.Lock()
-		if f.controls[addr] == s {
-			delete(f.controls, addr)
-		}
-		f.mu.Unlock()
-		return nil, err
-	}
-	return report, nil
-}
-
-// Mgmt runs one management-plane exchange against addr over the factory's
-// cached mgmt session for that address, dialing one on first use or after
-// a failure. Mgmt sessions ride the chaos fault surface: an injected
-// partition stalls the exchange and a link drop severs it mid-flight, so
-// the remote management plane sees exactly the faults the data plane does.
-func (f *Factory) Mgmt(addr string, req []byte) ([]byte, error) {
-	f.mu.Lock()
-	s := f.mgmts[addr]
-	f.mu.Unlock()
-	if s == nil || s.closed.Load() {
-		fresh, err := dialSession(addr, f.master, f.timeout, f.faults, &f.stats)
-		if err != nil {
-			return nil, err
-		}
-		f.faults.register(fresh)
-		f.mu.Lock()
-		if f.mgmts == nil {
-			f.mgmts = map[string]*Session{}
-		}
-		if old := f.mgmts[addr]; old != nil && !old.closed.Load() {
+		if old := f.controls[key]; old != nil && !old.closed.Load() {
 			// Another exchange redialed concurrently; keep its session.
 			f.mu.Unlock()
 			_ = fresh.Close()
-			return f.Mgmt(addr, req)
+			return f.control(addr, op, req)
 		}
-		f.mgmts[addr] = fresh
+		f.controls[key] = fresh
 		f.mu.Unlock()
 		s = fresh
 	}
-	reply, err := s.Mgmt(req)
+	reply, err := s.control(op, req)
 	if err != nil {
 		_ = s.Close()
 		f.mu.Lock()
-		if f.mgmts[addr] == s {
-			delete(f.mgmts, addr)
+		if f.controls[key] == s {
+			delete(f.controls, key)
 		}
 		f.mu.Unlock()
 		return nil, err
@@ -188,14 +169,9 @@ func (f *Factory) Mgmt(addr string, req []byte) ([]byte, error) {
 func (f *Factory) CloseControls() {
 	f.mu.Lock()
 	controls := f.controls
-	mgmts := f.mgmts
 	f.controls = nil
-	f.mgmts = nil
 	f.mu.Unlock()
 	for _, s := range controls {
-		_ = s.Close()
-	}
-	for _, s := range mgmts {
 		_ = s.Close()
 	}
 }

@@ -6,9 +6,6 @@ import (
 	"time"
 )
 
-// errLinkDropped reports an injected link drop — the error the farm sees
-// as the worker crash the fault models.
-
 // linkFaults is the chaos surface of one coordinator↔domain link. All
 // sessions dialed through one Factory share it, because a real link cut
 // takes out every connection riding the link at once; windows are plain
@@ -106,9 +103,9 @@ type Stats struct {
 // StatsSnapshot is a point-in-time copy of the counters.
 type StatsSnapshot struct {
 	Dials     uint64 // sessions successfully established
-	Execs     uint64 // tasks executed remotely
+	Execs     uint64 // exec round trips: one per exec or exec-batch frame, however many tasks it carried
 	Rekeys    uint64 // binding codecs installed across the wire
-	FramesOut uint64 // frames written (exec + rekey)
+	FramesOut uint64 // frames written (exec, rekey and control)
 	Drops     uint64 // sessions severed by injected link drops
 }
 

@@ -44,15 +44,17 @@ type ServerConfig struct {
 	// trace context arrives in the exec frame or batch blob; the sampling
 	// decision was the coordinator's). Optional.
 	Tracer *telemetry.TaskTracer
-	// Stats, when set, answers observability scrape frames (0x06) with a
-	// node report — typically a telemetry.NodeReport in JSON. The reply is
-	// sealed under the link's master codec. Nil refuses scrapes.
+	// Stats, when set, answers observability scrapes (the stats op of a
+	// control frame) with a node report — typically a telemetry.NodeReport
+	// in JSON. The reply is sealed under the link's master codec. Nil
+	// refuses scrapes.
 	Stats func() []byte
-	// Mgmt, when set, answers management-plane frames (0x08): violation
-	// reports, lease renewals, contract re-splits, two-phase prepares from
-	// a remote child manager. Request and reply are opaque to the wire
-	// layer and sealed under the link's master codec. Nil refuses
-	// management traffic (a data-plane-only workerd).
+	// Mgmt, when set, answers management-plane exchanges (the mgmt op of a
+	// control frame): violation reports, lease renewals, contract
+	// re-splits, two-phase prepares from a remote child manager. Request
+	// and reply are opaque to the wire layer and sealed under the link's
+	// master codec. Nil refuses management traffic (a data-plane-only
+	// workerd).
 	Mgmt func(req []byte) []byte
 }
 
@@ -65,6 +67,9 @@ type ServerConfig struct {
 type Server struct {
 	cfg    ServerConfig
 	master security.Codec
+	// control maps a control op to its handler, built from cfg.Stats and
+	// cfg.Mgmt; an op without an entry is refused.
+	control map[byte]func(req []byte) []byte
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -85,7 +90,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Hello.Name == "" {
 		return nil, errors.New("wire: server needs a node name to advertise")
 	}
-	return &Server{cfg: cfg, master: master, conns: map[net.Conn]struct{}{}}, nil
+	control := map[byte]func([]byte) []byte{}
+	if stats := cfg.Stats; stats != nil {
+		control[opStats] = func([]byte) []byte { return stats() }
+	}
+	if cfg.Mgmt != nil {
+		control[opMgmt] = cfg.Mgmt
+	}
+	return &Server{cfg: cfg, master: master, control: control, conns: map[net.Conn]struct{}{}}, nil
 }
 
 // Addr returns the listener address ("" before Serve).
@@ -364,49 +376,18 @@ func (s *Server) serveConn(conn net.Conn) {
 			if !s.reply(conn, taskID, resultOK, execNanos, resealed) {
 				return
 			}
-		case frameStats:
-			// Observability scrape: the request must authenticate under the
-			// link's master codec (fail-secure, like rekey), and the node
-			// report goes back sealed the same way.
-			if _, err := s.master.Decode(body); err != nil {
-				s.rejected.Add(1)
-				s.logf("wire: %s: stats request did not authenticate: %v", conn.RemoteAddr(), err)
-				return
-			}
-			report := []byte("{}")
-			if s.cfg.Stats != nil {
-				report = s.cfg.Stats()
-			}
-			sealed, err := s.master.Encode(report)
-			if err != nil {
-				s.logf("wire: sealing stats reply: %v", err)
-				return
-			}
-			if err := writeFrame(conn, frameStatsReply, sealed); err != nil {
-				return
-			}
-		case frameMgmt:
-			// Management plane: authenticate under the link's master codec
-			// (fail-secure — a forged violation report or lease renewal
-			// must cut the connection, not reach the manager), hand the
-			// plaintext to the endpoint, seal the reply the same way.
-			req, err := s.master.Decode(body)
+		case frameControl:
+			// Control plane: the request must authenticate under the link's
+			// master codec (fail-secure, like rekey — a forged violation
+			// report or lease renewal must cut the connection, not reach a
+			// handler) and name an op this server serves.
+			reply, err := s.serveControl(body)
 			if err != nil {
 				s.rejected.Add(1)
-				s.logf("wire: %s: mgmt request did not authenticate: %v", conn.RemoteAddr(), err)
+				s.logf("wire: %s: %v", conn.RemoteAddr(), err)
 				return
 			}
-			if s.cfg.Mgmt == nil {
-				s.rejected.Add(1)
-				s.logf("wire: %s: mgmt frame refused: no management endpoint", conn.RemoteAddr())
-				return
-			}
-			sealed, err := s.master.Encode(s.cfg.Mgmt(req))
-			if err != nil {
-				s.logf("wire: sealing mgmt reply: %v", err)
-				return
-			}
-			if err := writeFrame(conn, frameMgmtReply, sealed); err != nil {
+			if err := writeFrame(conn, frameControlReply, reply); err != nil {
 				return
 			}
 		default:
@@ -415,6 +396,24 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// serveControl opens one control request, runs the handler its op names
+// and seals the handler's reply under the master codec. Any error cuts the
+// connection.
+func (s *Server) serveControl(body []byte) ([]byte, error) {
+	plain, err := s.master.Decode(body)
+	if err != nil {
+		return nil, fmt.Errorf("control request did not authenticate: %w", err)
+	}
+	if len(plain) == 0 {
+		return nil, errors.New("control request without op")
+	}
+	handle := s.control[plain[0]]
+	if handle == nil {
+		return nil, fmt.Errorf("control op %#x refused: no handler", plain[0])
+	}
+	return s.master.Encode(handle(plain[1:]))
 }
 
 // reply writes one result frame; false means the connection is dead.

@@ -19,16 +19,17 @@ var ErrSessionClosed = errors.New("wire: session closed")
 
 // Session is one coordinator-side transport connection to a workerd,
 // implementing skel.Executor for exactly one farm worker. A session
-// carries a single outstanding exec at a time (the farm's worker loop is
-// serial, which is what makes the protocol need no response demux) plus
-// fire-and-forget rekey frames serialized on the same mutex.
+// carries a single outstanding exec or control exchange at a time (the
+// farm's worker loop is serial, which is what makes the protocol need no
+// response demux) plus fire-and-forget rekey frames serialized on the same
+// mutex.
 type Session struct {
 	hello  Hello
 	master security.Codec
 	faults *linkFaults
 	stats  *Stats
 
-	mu      sync.Mutex // serializes the exec roundtrip and rekey writes
+	mu      sync.Mutex // serializes round trips and rekey writes
 	conn    net.Conn
 	epoch   uint32
 	binding security.Codec // codec of the current epoch, for foreign reseals
@@ -146,6 +147,31 @@ func (s *Session) Rekey(c security.Codec) (security.Codec, error) {
 // its own measured exec time, which the farm joins with its local round
 // trip by interval arithmetic to separate wire and exec stages.
 func (s *Session) Exec(tc telemetry.TraceContext, taskID uint64, work time.Duration, codec security.Codec, sealed []byte) ([]byte, int64, error) {
+	return s.exec("task", taskID, codec, sealed, func(epoch uint32, sealed []byte) (byte, []byte) {
+		return frameExec, execBody(epoch, taskID, int64(work), tc, sealed)
+	})
+}
+
+// ExecBatch implements skel.BatchExecutor: one sealed multi-task blob out
+// in a single frame, one result frame back carrying the sealed result blob
+// — framing and sealing amortize over the batch exactly as on the loopback
+// path. The foreign-codec rule of Exec applies unchanged.
+// A batch's trace context travels inside the sealed blob (skel's batch
+// layout), so the frame itself needs none.
+func (s *Session) ExecBatch(codec security.Codec, sealed []byte) ([]byte, int64, error) {
+	batchID := s.batchSeq.Add(1)
+	return s.exec("batch", batchID, codec, sealed, func(epoch uint32, sealed []byte) (byte, []byte) {
+		return frameExecBatch, execBatchBody(epoch, batchID, sealed)
+	})
+}
+
+// exec is the round trip behind Exec and ExecBatch: reseal a payload
+// sealed under a foreign codec into this session's binding, write the
+// frame that frame builds around it, await the result frame for id, and
+// translate a resealed reply back to the caller's codec. what names the
+// unit ("task", "batch") in errors.
+func (s *Session) exec(what string, id uint64, codec security.Codec, sealed []byte,
+	frame func(epoch uint32, sealed []byte) (byte, []byte)) ([]byte, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -165,34 +191,33 @@ func (s *Session) Exec(tc telemetry.TraceContext, taskID uint64, work time.Durat
 		foreign = codec
 		plain, err := codec.Decode(sealed)
 		if err != nil {
-			return nil, 0, fmt.Errorf("wire: reseal for session: %w", err)
+			return nil, 0, fmt.Errorf("wire: reseal %s for session: %w", what, err)
 		}
-		sealed, err = s.binding.Encode(plain)
-		if err != nil {
-			return nil, 0, fmt.Errorf("wire: reseal for session: %w", err)
+		if sealed, err = s.binding.Encode(plain); err != nil {
+			return nil, 0, fmt.Errorf("wire: reseal %s for session: %w", what, err)
 		}
 		epoch = s.epoch
 	}
-	if err := s.writeLocked(frameExec, execBody(epoch, taskID, int64(work), tc, sealed)); err != nil {
+	if err := s.writeLocked(frame(epoch, sealed)); err != nil {
 		return nil, 0, err
 	}
 	typ, body, err := readFrame(s.conn)
 	if err != nil {
 		s.closeLocked()
-		return nil, 0, fmt.Errorf("wire: reading result: %w", err)
+		return nil, 0, fmt.Errorf("wire: reading %s result: %w", what, err)
 	}
 	if typ != frameResult {
 		s.closeLocked()
-		return nil, 0, fmt.Errorf("wire: unexpected frame %#x awaiting result", typ)
+		return nil, 0, fmt.Errorf("wire: unexpected frame %#x awaiting %s result", typ, what)
 	}
 	gotID, status, execNanos, rest, err := parseResult(body)
 	if err != nil {
 		s.closeLocked()
 		return nil, 0, err
 	}
-	if gotID != taskID {
+	if gotID != id {
 		s.closeLocked()
-		return nil, 0, fmt.Errorf("wire: result for task %d while awaiting %d", gotID, taskID)
+		return nil, 0, fmt.Errorf("wire: result for %s %d while awaiting %d", what, gotID, id)
 	}
 	if status != resultOK {
 		// A remote rejection (unknown epoch, unauthenticated payload) is a
@@ -202,142 +227,29 @@ func (s *Session) Exec(tc telemetry.TraceContext, taskID uint64, work time.Durat
 		return nil, 0, fmt.Errorf("wire: remote: %s", rest)
 	}
 	if foreign != nil {
-		// Translate the reply from this session's binding back to the
-		// codec the envelope was sealed with, so the caller's decode sees
-		// the seal it expects.
 		plain, err := s.binding.Decode(rest)
 		if err != nil {
 			s.closeLocked()
-			return nil, 0, fmt.Errorf("wire: result reseal: %w", err)
+			return nil, 0, fmt.Errorf("wire: %s result reseal: %w", what, err)
 		}
 		if rest, err = foreign.Encode(plain); err != nil {
-			return nil, 0, fmt.Errorf("wire: result reseal: %w", err)
+			return nil, 0, fmt.Errorf("wire: %s result reseal: %w", what, err)
 		}
 	}
 	s.stats.execs.Add(1)
 	return rest, execNanos, nil
 }
 
-// ExecBatch implements skel.BatchExecutor: one sealed multi-task blob out
-// in a single frame, one result frame back carrying the sealed result blob
-// — framing and sealing amortize over the batch exactly as on the loopback
-// path. The foreign-codec rule of Exec applies unchanged: a blob sealed
-// under another binding (a batch that survived an actuator intact) is
-// opened locally and re-sealed under this session's binding, and the reply
-// is translated back.
-// A batch's trace context travels inside the sealed blob (skel's batch
-// layout), so the frame itself needs none.
-func (s *Session) ExecBatch(codec security.Codec, sealed []byte) ([]byte, int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return nil, 0, ErrSessionClosed
-	}
-	if err := s.faults.apply(s); err != nil {
-		return nil, 0, err
-	}
-	epoch := uint32(0)
-	var foreign security.Codec
-	if ec, ok := codec.(*epochCodec); ok && ec.s == s {
-		epoch = ec.epoch
-	} else {
-		foreign = codec
-		plain, err := codec.Decode(sealed)
-		if err != nil {
-			return nil, 0, fmt.Errorf("wire: reseal batch for session: %w", err)
-		}
-		sealed, err = s.binding.Encode(plain)
-		if err != nil {
-			return nil, 0, fmt.Errorf("wire: reseal batch for session: %w", err)
-		}
-		epoch = s.epoch
-	}
-	batchID := s.batchSeq.Add(1)
-	if err := s.writeLocked(frameExecBatch, execBatchBody(epoch, batchID, sealed)); err != nil {
-		return nil, 0, err
-	}
-	typ, body, err := readFrame(s.conn)
-	if err != nil {
-		s.closeLocked()
-		return nil, 0, fmt.Errorf("wire: reading batch result: %w", err)
-	}
-	if typ != frameResult {
-		s.closeLocked()
-		return nil, 0, fmt.Errorf("wire: unexpected frame %#x awaiting batch result", typ)
-	}
-	gotID, status, execNanos, rest, err := parseResult(body)
-	if err != nil {
-		s.closeLocked()
-		return nil, 0, err
-	}
-	if gotID != batchID {
-		s.closeLocked()
-		return nil, 0, fmt.Errorf("wire: result for batch %d while awaiting %d", gotID, batchID)
-	}
-	if status != resultOK {
-		s.closeLocked()
-		return nil, 0, fmt.Errorf("wire: remote: %s", rest)
-	}
-	if foreign != nil {
-		plain, err := s.binding.Decode(rest)
-		if err != nil {
-			s.closeLocked()
-			return nil, 0, fmt.Errorf("wire: batch result reseal: %w", err)
-		}
-		if rest, err = foreign.Encode(plain); err != nil {
-			return nil, 0, fmt.Errorf("wire: batch result reseal: %w", err)
-		}
-	}
-	s.stats.execs.Add(1)
-	return rest, execNanos, nil
-}
-
-// ScrapeStats runs one observability scrape over this session: a stats
-// request sealed under the link's master codec (the scrape is a control
-// frame — a peer without the PSK can neither request nor read a node
-// report), answered by the workerd's sealed node report. The report bytes
-// are the workerd's own JSON (telemetry.NodeReport); the wire layer does
-// not interpret them.
-func (s *Session) ScrapeStats() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return nil, ErrSessionClosed
-	}
-	req, err := s.master.Encode([]byte("stats"))
-	if err != nil {
-		return nil, fmt.Errorf("wire: sealing stats request: %w", err)
-	}
-	if err := s.writeLocked(frameStats, req); err != nil {
-		return nil, err
-	}
-	typ, body, err := readFrame(s.conn)
-	if err != nil {
-		s.closeLocked()
-		return nil, fmt.Errorf("wire: reading stats reply: %w", err)
-	}
-	if typ != frameStatsReply {
-		s.closeLocked()
-		return nil, fmt.Errorf("wire: unexpected frame %#x awaiting stats reply", typ)
-	}
-	plain, err := s.master.Decode(body)
-	if err != nil {
-		s.closeLocked()
-		return nil, fmt.Errorf("wire: stats reply did not authenticate: %w", err)
-	}
-	return plain, nil
-}
-
-// Mgmt runs one management-plane exchange over this session: the request
-// bytes sealed under the link's master codec (management traffic is
-// control traffic — violation reports, lease renewals, contract re-splits
-// and two-phase prepares must neither be forged nor read without the
-// PSK), answered by the peer's sealed reply. The wire layer does not
-// interpret either side; internal/manager owns the message schema.
-// Unlike the scrape path, mgmt sessions ride the Factory's fault surface:
-// a chaos partition or link drop takes the management plane down with the
-// data plane, which is the point of this PR.
-func (s *Session) Mgmt(req []byte) ([]byte, error) {
+// control runs one control exchange over this session: the op byte and
+// request sealed under the link's master codec — a peer without the PSK
+// can neither request a node report nor forge a violation report, lease
+// renewal, contract re-split or two-phase prepare — answered by the
+// peer's sealed reply. The wire layer interprets neither body: a node
+// report is the workerd's JSON (telemetry.NodeReport), and
+// internal/manager owns the management schema. A session dialed onto the
+// chaos fault surface pays its partitions and drops here; a scrape
+// session has no faults to pay.
+func (s *Session) control(op byte, req []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -349,26 +261,26 @@ func (s *Session) Mgmt(req []byte) ([]byte, error) {
 	if s.closed.Load() { // a drop may have landed during the fault window
 		return nil, ErrSessionClosed
 	}
-	sealed, err := s.master.Encode(req)
+	sealed, err := s.master.Encode(append([]byte{op}, req...))
 	if err != nil {
-		return nil, fmt.Errorf("wire: sealing mgmt request: %w", err)
+		return nil, fmt.Errorf("wire: sealing control request: %w", err)
 	}
-	if err := s.writeLocked(frameMgmt, sealed); err != nil {
+	if err := s.writeLocked(frameControl, sealed); err != nil {
 		return nil, err
 	}
 	typ, body, err := readFrame(s.conn)
 	if err != nil {
 		s.closeLocked()
-		return nil, fmt.Errorf("wire: reading mgmt reply: %w", err)
+		return nil, fmt.Errorf("wire: reading control reply: %w", err)
 	}
-	if typ != frameMgmtReply {
+	if typ != frameControlReply {
 		s.closeLocked()
-		return nil, fmt.Errorf("wire: unexpected frame %#x awaiting mgmt reply", typ)
+		return nil, fmt.Errorf("wire: unexpected frame %#x awaiting control reply", typ)
 	}
 	plain, err := s.master.Decode(body)
 	if err != nil {
 		s.closeLocked()
-		return nil, fmt.Errorf("wire: mgmt reply did not authenticate: %w", err)
+		return nil, fmt.Errorf("wire: control reply did not authenticate: %w", err)
 	}
 	return plain, nil
 }

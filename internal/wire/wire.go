@@ -16,6 +16,9 @@
 //	         so key material never crosses in clear
 //	exec ──▶ epoch + task id + nominal work + sealed payload
 //	◀─ result  task id + sealed result payload (same epoch), or an error
+//	control ─▶ op + request, sealed under the master codec (a stats
+//	         scrape or a management-plane exchange)
+//	◀─ control reply, sealed under the master codec
 //
 // The master codec is AES-GCM under a pre-shared 32-byte link key: a peer
 // that cannot produce an authenticating hello or rekey frame is cut off.
@@ -47,15 +50,19 @@ import (
 
 // Frame types of the protocol.
 const (
-	frameHello      byte = 0x01 // server→client node advertisement
-	frameRekey      byte = 0x02 // client→server binding codec install
-	frameExec       byte = 0x03 // client→server task envelope
-	frameResult     byte = 0x04 // server→client task result or error
-	frameExecBatch  byte = 0x05 // client→server multi-task batch envelope
-	frameStats      byte = 0x06 // client→server observability scrape request
-	frameStatsReply byte = 0x07 // server→client sealed node report
-	frameMgmt       byte = 0x08 // client→server sealed management-plane request
-	frameMgmtReply  byte = 0x09 // server→client sealed management-plane reply
+	frameHello        byte = 0x01 // server→client node advertisement
+	frameRekey        byte = 0x02 // client→server binding codec install
+	frameExec         byte = 0x03 // client→server task envelope
+	frameResult       byte = 0x04 // server→client task result or error
+	frameExecBatch    byte = 0x05 // client→server multi-task batch envelope
+	frameControl      byte = 0x06 // client→server sealed op + request
+	frameControlReply byte = 0x07 // server→client sealed reply
+)
+
+// Control ops: the first byte of a control request's sealed plaintext.
+const (
+	opStats byte = 0x01 // observability scrape; the reply is a node report
+	opMgmt  byte = 0x02 // management-plane exchange; opaque both ways
 )
 
 // maxFrame bounds a frame body so a corrupt or hostile length prefix

@@ -172,6 +172,27 @@ func TestServerRejectsUnauthenticatedPeer(t *testing.T) {
 	}
 }
 
+// TestControlOpWithoutHandlerCutsConnection: a data-plane-only server (no
+// Stats, no Mgmt) refuses both control ops the way it refuses any bad
+// frame — the connection is cut and the refusal counted.
+func TestControlOpWithoutHandlerCutsConnection(t *testing.T) {
+	srv := startServer(t, edgeHello("edge0"), nil)
+	f, err := NewFactory(testPSK(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.CloseControls()
+	if _, err := f.Scrape(srv.Addr()); err == nil {
+		t.Fatal("scrape answered without a Stats handler")
+	}
+	if _, err := f.Mgmt(srv.Addr(), []byte(`{"op":"lease"}`)); err == nil {
+		t.Fatal("mgmt exchange answered without a Mgmt handler")
+	}
+	if got := srv.Rejected(); got != 2 {
+		t.Fatalf("rejected = %d, want 2", got)
+	}
+}
+
 func TestProbeRegistersAdvertisedNode(t *testing.T) {
 	hello := Hello{
 		Name: "edge7", Domain: "untrusted_ip_domain_A", Trusted: false,
@@ -355,7 +376,9 @@ func TestNoPlaintextOnTheWire(t *testing.T) {
 // rekey control frames, and Rebalance moves sealed envelopes between
 // sessions through the reseal path — exactly-once must survive it all.
 func TestFarmDispatchActuatorStressTCP(t *testing.T) {
-	defer leaktest.Check(t)()
+	// Registered before startServer's cleanups, the leak check runs after
+	// them (cleanups are LIFO), once the servers' accept loops are gone.
+	t.Cleanup(leaktest.Check(t))
 	var nodes []*grid.Node
 	for i := 0; i < 2; i++ {
 		hello := edgeHello(fmt.Sprintf("edge%d", i))
@@ -646,7 +669,9 @@ func TestBatchedNoPlaintextOnTheWire(t *testing.T) {
 // single envelopes across sessions with different bindings — the
 // exactly-once outcome must be identical to the unbatched storm.
 func TestFarmDispatchActuatorStressTCPBatched(t *testing.T) {
-	defer leaktest.Check(t)()
+	// Registered before startServer's cleanups, the leak check runs after
+	// them (cleanups are LIFO), once the servers' accept loops are gone.
+	t.Cleanup(leaktest.Check(t))
 	var nodes []*grid.Node
 	for i := 0; i < 2; i++ {
 		hello := edgeHello(fmt.Sprintf("edge%d", i))
