@@ -34,10 +34,14 @@ const rateBuckets = 64
 // the per-event timestamp slice this replaces grew with the event rate and
 // paid an O(n) expiry scan on the dispatch hot path.
 //
-// Before one full window has elapsed since the first event, Rate divides by
-// the elapsed time rather than the window: dividing a young meter's count
-// by the full window underreports the true rate and made the perf manager
-// over-provision workers during the first control periods.
+// Before one full window has elapsed since the meter was created, Rate
+// divides by the elapsed time rather than the window: dividing a young
+// meter's count by the full window underreports the true rate and made the
+// perf manager over-provision workers during the first control periods.
+// The span starts at creation, not at the first event: a single event read
+// a moment after it landed would otherwise report an arbitrarily high rate,
+// and a manager sampling at that moment would react to a burst that never
+// happened.
 type RateMeter struct {
 	mu      sync.Mutex
 	clock   simclock.Clock
@@ -46,9 +50,7 @@ type RateMeter struct {
 	start   time.Time     // ring epoch (creation time)
 	cur     int64         // absolute index of the newest bucket
 	buckets [rateBuckets]uint64
-	inWin   uint64    // sum over live buckets
-	first   time.Time // first-ever event, for warm-up correction
-	hasEvt  bool
+	inWin   uint64 // sum over live buckets
 	total   uint64
 }
 
@@ -85,15 +87,12 @@ func (r *RateMeter) MarkN(n int) {
 	r.buckets[int(r.cur%rateBuckets)] += uint64(n)
 	r.inWin += uint64(n)
 	r.total += uint64(n)
-	if !r.hasEvt {
-		r.first, r.hasEvt = now, true
-	}
 	r.mu.Unlock()
 }
 
 // Rate returns the current event rate in events/second. The averaging span
 // is the sliding window or, while the meter is warming up, the time elapsed
-// since the first event — whichever is shorter — so young meters report the
+// since its creation — whichever is shorter — so young meters report the
 // true rate instead of a count diluted over a mostly empty window.
 func (r *RateMeter) Rate() float64 {
 	now := r.clock.Now()
@@ -104,7 +103,7 @@ func (r *RateMeter) Rate() float64 {
 		return 0
 	}
 	span := r.window
-	if elapsed := now.Sub(r.first); elapsed > 0 && elapsed < span {
+	if elapsed := now.Sub(r.start); elapsed > 0 && elapsed < span {
 		span = elapsed
 	}
 	return float64(r.inWin) / span.Seconds()
