@@ -554,12 +554,41 @@ func BenchmarkFarmSaturationTraced(b *testing.B) {
 // remains is the farm's own per-task cost. With batching on, the one
 // decode-per-batch amortizes below one allocation per task — the reported
 // figure must be 0 allocs/op (CI greps for it).
+//
+// The mixed case sends the repository benchmark's payload mix unbatched —
+// 256 B 90 %, 4 KiB 8 %, 16 KiB 2 % — so the size-classed envelope pools
+// are held to the same 0 allocs/op when payload sizes change from task to
+// task.
 func BenchmarkFarmDispatchSteadyState(b *testing.B) {
 	for _, batch := range []int{0, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			runSteadyState(b, batch, nil)
+			runSteadyState(b, batch, nil, fixedPayload)
 		})
 	}
+	b.Run("mixed", func(b *testing.B) {
+		runSteadyState(b, 0, nil, mixedPayload)
+	})
+}
+
+var (
+	payload256 = make([]byte, 256)
+	payload4K  = make([]byte, 4<<10)
+	payload16K = make([]byte, 16<<10)
+)
+
+// fixedPayload gives every task 256 bytes.
+func fixedPayload(uint64) []byte { return payload256 }
+
+// mixedPayload deals the benchmark's payload mix by task id: out of every
+// 50 tasks, one carries 16 KiB and four carry 4 KiB.
+func mixedPayload(id uint64) []byte {
+	switch id % 50 {
+	case 0:
+		return payload16K
+	case 1, 2, 3, 4:
+		return payload4K
+	}
+	return payload256
 }
 
 // BenchmarkFarmDispatchSteadyStateTraced is the same steady-state workload
@@ -569,12 +598,12 @@ func BenchmarkFarmDispatchSteadyState(b *testing.B) {
 func BenchmarkFarmDispatchSteadyStateTraced(b *testing.B) {
 	for _, batch := range []int{0, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			runSteadyState(b, batch, telemetry.NewTaskTracer(1, 1024, 0))
+			runSteadyState(b, batch, telemetry.NewTaskTracer(1, 1024, 0), fixedPayload)
 		})
 	}
 }
 
-func runSteadyState(b *testing.B, batch int, tracer *telemetry.TaskTracer) {
+func runSteadyState(b *testing.B, batch int, tracer *telemetry.TaskTracer, payload func(id uint64) []byte) {
 	f, err := skel.NewFarm(skel.FarmConfig{
 		Name: "steady", Env: skel.Env{TimeScale: 1}, RM: grid.NewSMP(8).RM,
 		InitialWorkers: 4, DispatchBatch: batch, Tracer: tracer,
@@ -606,23 +635,26 @@ func runSteadyState(b *testing.B, batch int, tracer *telemetry.TaskTracer) {
 			b.Fatal(err)
 		}
 	}
-	payload := make([]byte, 256)
 	// Warm the pools: envelopes, wire buffers, queue rings — and with a
 	// tracer attached, the span pool — all reach steady-state capacity here.
 	const warm = 4096
 	warmTasks := make([]skel.Task, warm)
 	for i := range warmTasks {
-		warmTasks[i] = skel.Task{ID: uint64(i + 1), Payload: payload}
+		id := uint64(i + 1)
+		warmTasks[i] = skel.Task{ID: id, Payload: payload(id)}
 		in <- &warmTasks[i]
 	}
 	for done.Load() < warm {
 		time.Sleep(time.Millisecond)
 	}
 	tasks := make([]skel.Task, b.N)
+	var bytes int64
 	for i := range tasks {
-		tasks[i] = skel.Task{ID: uint64(warm + i + 1), Payload: payload}
+		id := uint64(warm + i + 1)
+		tasks[i] = skel.Task{ID: id, Payload: payload(id)}
+		bytes += int64(len(tasks[i].Payload))
 	}
-	b.SetBytes(int64(len(payload)))
+	b.SetBytes(bytes / int64(b.N))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := range tasks {

@@ -76,6 +76,17 @@ func AppendDecode(c Codec, dst, wire []byte) ([]byte, error) {
 	return append(dst, plain...), nil
 }
 
+// Overhead reports how many bytes c's wire form adds to a plaintext, so a
+// caller can size a buffer before sealing into it. A codec that does not
+// declare its overhead reports 0; an undersized buffer then grows on the
+// seal itself.
+func Overhead(c Codec) int {
+	if o, ok := c.(interface{ Overhead() int }); ok {
+		return o.Overhead()
+	}
+	return 0
+}
+
 // Canonical codec names, as returned by Codec.Name. The remote management
 // plane ships them in prepare replies so the far side can rebuild the
 // binding codec from its key material.
@@ -184,6 +195,10 @@ func (c *AESGCM) payHandshake() {
 		}
 	})
 }
+
+// Overhead is the nonce plus the GCM tag: the bytes Encode adds to a
+// plaintext.
+func (c *AESGCM) Overhead() int { return c.aead.NonceSize() + c.aead.Overhead() }
 
 // Encode implements Codec: nonce || ciphertext.
 func (c *AESGCM) Encode(plain []byte) ([]byte, error) {

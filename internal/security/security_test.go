@@ -218,3 +218,19 @@ func TestAppendDecode(t *testing.T) {
 		t.Fatal("tampered ciphertext decoded")
 	}
 }
+
+// TestOverhead pins the size the farm sizes envelope buffers by: the wire
+// form is exactly the plaintext plus the declared overhead.
+func TestOverhead(t *testing.T) {
+	for _, c := range []Codec{Plain{}, MustAESGCM(NewRandomKey(), nil, 0)} {
+		for _, n := range []int{0, 1, 256, 4096} {
+			wire, err := c.Encode(make([]byte, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(wire) - n; got != Overhead(c) {
+				t.Fatalf("%s: %d-byte payload sealed to %d bytes, Overhead says +%d", c.Name(), n, len(wire), Overhead(c))
+			}
+		}
+	}
+}

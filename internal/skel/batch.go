@@ -3,6 +3,7 @@ package skel
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/security"
@@ -44,7 +45,8 @@ type BatchExecutor interface {
 	// encoded with the binding codec (passed alongside so the transport can
 	// recover its key epoch); the result blob comes back sealed with the
 	// same codec, along with the remote-measured execution nanoseconds for
-	// the whole batch (remote clock; see Executor.Exec).
+	// the whole batch (remote clock; see Executor.Exec). The result is
+	// valid only until the next call on the executor, as for Exec.
 	ExecBatch(codec security.Codec, sealed []byte) (result []byte, execNanos int64, err error)
 }
 
@@ -114,10 +116,12 @@ func unpackBatchInto(blob []byte, tasks []*Task) error {
 	return nil
 }
 
-// ParseBatchBlob decodes a batch blob into its trace context and entries
-// (payloads are subslices of blob). It is the remote execution server's
-// view of a batch frame; internal/wire and workerd use it.
-func ParseBatchBlob(blob []byte) (telemetry.TraceContext, []BatchEntry, error) {
+// ParseBatchBlob decodes a batch blob into its trace context and entries,
+// appended onto dst (payloads are subslices of blob), so a server that
+// keeps one entry slice per connection parses without allocating. It is
+// the remote execution server's view of a batch frame; internal/wire and
+// workerd use it.
+func ParseBatchBlob(dst []BatchEntry, blob []byte) (telemetry.TraceContext, []BatchEntry, error) {
 	if len(blob) < telemetry.TraceContextSize+4 {
 		return telemetry.TraceContext{}, nil, errBlob("task")
 	}
@@ -130,7 +134,7 @@ func ParseBatchBlob(blob []byte) (telemetry.TraceContext, []BatchEntry, error) {
 	if count < 0 || count > maxDispatchBatch {
 		return tc, nil, errBlob("task")
 	}
-	entries := make([]BatchEntry, 0, count)
+	entries := slices.Grow(dst, count)
 	off := 4
 	for i := 0; i < count; i++ {
 		if len(blob)-off < 20 {
@@ -272,7 +276,7 @@ func (f *Farm) runBatchedDispatcher(in <-chan *Task) {
 		avail := tbl.workers
 		if f.cfg.Dispatch == Broadcast {
 			if len(avail) == 0 {
-				f.sendRouted(t, nil)
+				f.sendRouted(t)
 			} else {
 				for i := range avail {
 					pend[i] = append(pend[i], t.Clone())
@@ -283,7 +287,7 @@ func (f *Farm) runBatchedDispatcher(in <-chan *Task) {
 				}
 			}
 		} else if idx := f.decideTargetIndex(avail, &f.rrIndex); idx < 0 {
-			f.sendRouted(t, nil)
+			f.sendRouted(t)
 		} else {
 			pend[idx] = append(pend[idx], t)
 			buffered++
@@ -369,7 +373,7 @@ func (f *Farm) flushBatch(w *worker, tasks []*Task) {
 		tc = sp.Context()
 	}
 	f.packBuf = appendBatchBlob(f.packBuf[:0], tasks, f.cfg.WorkOverride, tc)
-	env := getEnv()
+	env := getEnv(len(f.packBuf) + security.Overhead(codec))
 	var sealStart time.Time
 	ins := f.cfg.Instruments
 	if ins != nil {
@@ -379,6 +383,7 @@ func (f *Farm) flushBatch(w *worker, tasks []*Task) {
 	if ins != nil {
 		ins.Seal.ObserveDuration(time.Since(sealStart))
 	}
+	f.packBuf = ReuseBuffer(f.packBuf)
 	if err != nil {
 		putEnv(env)
 		f.faultSpan(sp, "encode")
@@ -411,9 +416,11 @@ func (f *Farm) flushBatch(w *worker, tasks []*Task) {
 		env.span = nil
 		f.faultSpan(sp, "reroute")
 		if f.cfg.Dispatch != Broadcast {
+			f.mu.Lock()
 			for _, t := range env.tasks {
-				f.sendRouted(t, w)
+				f.routeLocked(t)
 			}
+			f.mu.Unlock()
 		}
 		putEnv(env)
 	}

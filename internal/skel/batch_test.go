@@ -27,7 +27,7 @@ func TestBatchBlobRoundtrip(t *testing.T) {
 	want := [][]byte{[]byte("alpha"), nil, bytes.Repeat([]byte{0xAB}, 300)}
 	blob := appendBatchBlob(nil, tasks, 0, telemetry.TraceContext{})
 
-	_, entries, err := ParseBatchBlob(blob)
+	_, entries, err := ParseBatchBlob(nil, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestBatchBlobRoundtrip(t *testing.T) {
 
 func TestBatchBlobWorkOverride(t *testing.T) {
 	tasks := []*Task{{ID: 1, Work: time.Hour, Payload: []byte("x")}}
-	_, entries, err := ParseBatchBlob(appendBatchBlob(nil, tasks, 5*time.Millisecond, telemetry.TraceContext{}))
+	_, entries, err := ParseBatchBlob(nil, appendBatchBlob(nil, tasks, 5*time.Millisecond, telemetry.TraceContext{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestBatchBlobMalformed(t *testing.T) {
 		"trailing":    append(append([]byte(nil), blob...), 0x00),
 	}
 	for name, b := range cases {
-		if _, _, err := ParseBatchBlob(b); err == nil {
+		if _, _, err := ParseBatchBlob(nil, b); err == nil {
 			t.Errorf("ParseBatchBlob(%s): no error", name)
 		}
 		if err := unpackBatchInto(b, []*Task{{ID: 1}, {ID: 2}}); err == nil {

@@ -30,7 +30,9 @@ type Executor interface {
 	// result payload, still sealed with the same binding codec, plus the
 	// remote-measured execution nanoseconds — reported in the remote clock
 	// and joined with the local round trip by interval arithmetic, never by
-	// cross-machine timestamp comparison.
+	// cross-machine timestamp comparison. The returned result may alias
+	// the session's reusable read buffer: it is valid only until the next
+	// call on this executor, so the caller opens (or copies) it first.
 	Exec(tc telemetry.TraceContext, taskID uint64, work time.Duration, codec security.Codec, sealed []byte) (result []byte, execNanos int64, err error)
 	// Rekey makes c the binding codec on the remote end before any task
 	// sealed with it can arrive (the two-phase rekey across the wire: the

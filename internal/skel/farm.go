@@ -142,10 +142,11 @@ const defaultBatchFlush = 500 * time.Microsecond
 // envelope is one message on a worker binding: one task — or, with
 // DispatchBatch, up to DispatchBatch tasks — plus the sealed form produced
 // by the codec the binding had at dispatch time. Envelopes are pooled: the
-// hot path recycles them (and their wire buffers) through envPool, so
-// steady-state dispatch allocates nothing. Ownership is linear — an
-// envelope is held by exactly one of: a queue, a worker's compute step,
-// the results channel, or the collector; whoever drops it calls putEnv.
+// hot path recycles them (and their wire buffers) through the size-classed
+// envelope pools, so steady-state dispatch allocates nothing. Ownership is
+// linear — an envelope is held by exactly one of: a queue, a worker's
+// compute step, the results channel, or the collector; whoever drops it
+// calls putEnv.
 type envelope struct {
 	// tasks are the member tasks, in wire order; length 1 unless batch.
 	// Member payloads stay plaintext here (compute replaces them only
@@ -172,13 +173,60 @@ type envelope struct {
 // task returns the sole member of a single (non-batch) envelope.
 func (e *envelope) task() *Task { return e.tasks[0] }
 
-var envPool = sync.Pool{New: func() any { return new(envelope) }}
+// Envelope size classes. Each class has its own pool, and an envelope
+// travels with its sealed buffer, so a queued or pooled envelope holds a
+// buffer sized to its own payload's class rather than to the largest
+// payload the farm has seen. The bounds are 1, 8, 64 and 512 KiB: a class
+// wastes at most its 8x ratio on an envelope, and a 64-task batch blob of
+// a few hundred bytes per task stays in a bounded class.
+const (
+	envClasses    = 4
+	envClassMin   = 1 << 10 // bound of class 0
+	envClassShift = 3       // each bound is 8x the one below
 
-func getEnv() *envelope { return envPool.Get().(*envelope) }
+	// MaxRetainedBuffer is the largest buffer the data plane keeps for
+	// reuse: an envelope buffer, or a connection's frame buffer, that grew
+	// past it is dropped once the message in flight is done with it.
+	MaxRetainedBuffer = envClassMin << (envClassShift * (envClasses - 1))
+)
+
+var envPools [envClasses]sync.Pool
+
+// envClass returns the size class of an n-byte sealed buffer: the first
+// class whose bound is at least n, or the largest class.
+func envClass(n int) int {
+	c, bound := 0, envClassMin
+	for n > bound && c < envClasses-1 {
+		c++
+		bound <<= envClassShift
+	}
+	return c
+}
+
+// getEnv returns a pooled envelope from the class of the sealed size the
+// caller is about to write (payload or blob length plus codec overhead).
+func getEnv(sealedSize int) *envelope {
+	if e, ok := envPools[envClass(sealedSize)].Get().(*envelope); ok {
+		return e
+	}
+	return new(envelope)
+}
+
+// ReuseBuffer returns buf emptied for reuse, or nil once it has grown past
+// MaxRetainedBuffer: one large message must not pin its size in a buffer
+// that lives on. The farm's envelope and scratch buffers and the wire
+// transport's per-connection frame buffers all go through it.
+func ReuseBuffer(buf []byte) []byte {
+	if cap(buf) > MaxRetainedBuffer {
+		return nil
+	}
+	return buf[:0]
+}
 
 // putEnv clears the envelope's references (so pooled envelopes never pin
-// tasks or codecs) while keeping slice capacity, and returns it to the
-// pool.
+// tasks or codecs) while keeping slice capacity, and files it under the
+// class of its buffer's capacity; a buffer past the largest class is
+// dropped.
 func putEnv(e *envelope) {
 	for i := range e.tasks {
 		e.tasks[i] = nil
@@ -188,11 +236,11 @@ func putEnv(e *envelope) {
 	}
 	e.tasks = e.tasks[:0]
 	e.out = e.out[:0]
-	e.wire = e.wire[:0]
+	e.wire = ReuseBuffer(e.wire)
 	e.codec = nil
 	e.batch = false
 	e.span = nil
-	envPool.Put(e)
+	envPools[envClass(cap(e.wire))].Put(e)
 }
 
 // routeTable is the atomically-swapped immutable snapshot of the admitted
@@ -200,7 +248,7 @@ func putEnv(e *envelope) {
 // membership or admission changes (add, remove, migrate, crash, recover,
 // worker exit), read lock-free by the dispatcher on every task. A stale
 // table is harmless by construction: a departed worker's queue refuses
-// pushes, which re-enters the task through sendRouted's authoritative
+// pushes, which re-enters the task through routeLocked's authoritative
 // under-lock path, and a not-yet-visible worker is simply not picked until
 // the next swap.
 type routeTable struct {
@@ -276,7 +324,7 @@ type Farm struct {
 	routes atomic.Pointer[routeTable]
 
 	// everHadWorker and recruitFailed distinguish "recovery is coming" from
-	// "the pool never existed" when sendRouted finds nobody to route to: a
+	// "the pool never existed" when routeLocked finds nobody to route to: a
 	// farm whose every recruitment failed must drop-with-error and let the
 	// run terminate instead of parking tasks forever.
 	everHadWorker bool
@@ -459,7 +507,7 @@ func (f *Farm) dispatch(t *Task) {
 	avail := f.routes.Load().workers
 	if f.cfg.Dispatch == Broadcast {
 		if len(avail) == 0 {
-			f.sendRouted(t, nil)
+			f.sendRouted(t)
 			return
 		}
 		for _, w := range avail {
@@ -484,7 +532,7 @@ func (f *Farm) dispatch(t *Task) {
 	}
 	if target == nil {
 		f.faultSpan(sp, "parked")
-		f.sendRouted(t, nil)
+		f.sendRouted(t)
 		return
 	}
 	f.send(target, t, true, sp)
@@ -525,7 +573,7 @@ func (f *Farm) collectSpan(env *envelope) {
 	tr.Publish(sp)
 }
 
-// send encodes the task with the binding's current codec, audits it and
+// send seals the task for the binding's current codec, audits it and
 // pushes it onto the worker queue — all without holding f.mu. The codec is
 // snapshotted per send; a concurrent SetCodec therefore takes effect on the
 // next send, and an envelope always carries the codec it was encoded with.
@@ -537,23 +585,42 @@ func (f *Farm) collectSpan(env *envelope) {
 // task to a different one. reroute=false (Broadcast clones) drops the task
 // on a failed push instead — its siblings were already delivered.
 func (f *Farm) send(w *worker, t *Task, reroute bool, sp *telemetry.Span) {
+	env := f.seal(w, t, sp)
+	if env == nil {
+		return
+	}
+	if !w.queue.push(env) {
+		env.span = nil
+		f.faultSpan(sp, "reroute")
+		putEnv(env)
+		if reroute {
+			// t still carries its original payload (compute replaces it only
+			// after a pop), so it can be re-routed and re-encoded.
+			f.sendRouted(t)
+		}
+	}
+}
+
+// seal encodes one task for w's binding into an envelope from the pool of
+// its sealed size and records the send with the Auditor. It returns nil
+// after reporting an encode error.
+func (f *Farm) seal(w *worker, t *Task, sp *telemetry.Span) *envelope {
 	codec := w.getCodec()
 	var sealStart time.Time
 	ins := f.cfg.Instruments
 	if ins != nil {
 		sealStart = time.Now()
 	}
-	env := getEnv()
+	env := getEnv(len(t.Payload) + security.Overhead(codec))
 	wire, err := security.AppendEncode(codec, env.wire[:0], t.Payload)
 	if ins != nil {
 		ins.Seal.ObserveDuration(time.Since(sealStart))
 	}
 	if err != nil {
-		env.wire = env.wire[:0]
 		putEnv(env)
 		f.faultSpan(sp, "encode")
 		f.reportErr(fmt.Errorf("skel: farm %s encode for %s: %w", f.cfg.Name, w.id, err))
-		return
+		return nil
 	}
 	if sp != nil {
 		sp.Mark(telemetry.StageSeal)
@@ -571,31 +638,35 @@ func (f *Farm) send(w *worker, t *Task, reroute bool, sp *telemetry.Span) {
 	env.wire = wire
 	env.codec = codec
 	env.span = sp
-	if !w.queue.push(env) {
-		env.span = nil
-		f.faultSpan(sp, "reroute")
-		putEnv(env)
-		if reroute {
-			// t still carries its original payload (compute replaces it only
-			// after a pop), so it can be re-routed and re-encoded.
-			f.sendRouted(t, w)
-		}
-	}
+	return env
 }
 
 // sendRouted routes one already-accepted task through the unified decision
 // path from outside the dispatcher goroutine: the reroute slow path of
-// send (skip is the worker whose push just failed), park-flush after a
-// worker joins, and the empty-pool branch of dispatch. If no admissible
-// worker exists but a crashed one is still in the pool, recovery is coming
-// (the crash edge has fired), so the task is parked until a worker joins;
-// parked tasks keep the result stream open exactly like a crashed worker's
-// stranded queue. Without any crashed worker nobody will be summoned —
-// recruitment failed or the selector admits nothing — and the task is
-// dropped with an error rather than deadlocking the run.
-func (f *Farm) sendRouted(t *Task, skip *worker) {
+// send, a late envelope of a recovered worker, and the empty-pool branch
+// of dispatch. See routeLocked.
+func (f *Farm) sendRouted(t *Task) {
 	f.mu.Lock()
-	avail := f.admittedLocked(nil, skip)
+	f.routeLocked(t)
+	f.mu.Unlock()
+}
+
+// routeLocked places one already-accepted task on an admissible worker. If
+// no admissible worker exists but a crashed one is still in the pool,
+// recovery is coming (the crash edge has fired), so the task is parked
+// until a worker joins; parked tasks keep the result stream open exactly
+// like a crashed worker's stranded queue. Without any crashed worker
+// nobody will be summoned — recruitment failed or the selector admits
+// nothing — and the task is dropped with an error rather than deadlocking
+// the run.
+//
+// The task is placed, not pushed: it was accepted into the farm already,
+// so the closed gate that bars new input after the stream ends must not
+// bounce it (a bounced task would park again with nobody left to flush
+// it), and because a worker decides to exit under f.mu, the target picked
+// here cannot retire before popping it. Callers hold f.mu.
+func (f *Farm) routeLocked(t *Task) {
+	avail := f.admittedLocked(nil, nil)
 	hasFailed := false
 	for _, w := range f.workers {
 		if w.failed {
@@ -610,45 +681,38 @@ func (f *Farm) sendRouted(t *Task, skip *worker) {
 	// recovery that cannot arrive — the whole run deadlocks. Drop with an
 	// error instead so the stream can terminate.
 	if len(avail) == 0 && len(f.workers) == 0 && !f.everHadWorker && f.recruitFailed {
-		f.mu.Unlock()
 		f.reportErr(fmt.Errorf("skel: farm %s dropped task %d: recruitment failed and no worker ever joined", f.cfg.Name, t.ID))
 		return
 	}
-	// The park shares the critical section with the scan: a worker joining
-	// after this point sees the task in pending and flushes it. An empty
-	// pool parks too — it can only arise from a recovery that is about to
-	// recruit (an unmanaged farm never removes its last worker), and
-	// parked tasks hold the result stream open until the recruit lands.
+	// An empty pool parks too — it can only arise from a recovery that is
+	// about to recruit (an unmanaged farm never removes its last worker),
+	// and parked tasks hold the result stream open until the recruit lands.
 	if len(avail) == 0 && (hasFailed || len(f.workers) == 0) {
 		f.pending = append(f.pending, t)
-		f.mu.Unlock()
 		return
 	}
-	f.mu.Unlock()
 	target := f.decideTarget(avail, nil)
 	if target == nil {
 		f.reportErr(fmt.Errorf("skel: farm %s dropped task %d: no admissible worker", f.cfg.Name, t.ID))
 		return
 	}
-	// send re-encodes with the target's own binding codec; if the target is
-	// already gone again, send's reroute parks the task anew. A worker
-	// whose push failed is already marked failed/exited/removed under f.mu
-	// by then, so the reroute cannot spin on it.
-	f.send(target, t, true, nil)
+	// seal re-encodes with the target's own binding codec.
+	if env := f.seal(target, t, nil); env != nil {
+		target.queue.restore(env)
+	}
 }
 
-// flushPending re-dispatches every parked task now that a worker joined
-// the pool; the add paths call it once the worker is dispatchable. Each
-// task goes through the unified decision path again and is re-encoded with
-// its new binding's codec, so a task parked during a crash storm cannot
-// leave with a codec negotiated for a worker that no longer exists.
-func (f *Farm) flushPending() {
-	f.mu.Lock()
+// flushPendingLocked re-dispatches every parked task; the add paths call
+// it in the same critical section that makes a new worker dispatchable, so
+// no stream end can close the newcomer's queue in between. Each task goes
+// through the unified decision path again and is re-encoded with its new
+// binding's codec, so a task parked during a crash storm cannot leave with
+// a codec negotiated for a worker that no longer exists. Callers hold f.mu.
+func (f *Farm) flushPendingLocked() {
 	parked := f.pending
 	f.pending = nil
-	f.mu.Unlock()
 	for _, t := range parked {
-		f.sendRouted(t, nil)
+		f.routeLocked(t)
 	}
 }
 
@@ -675,13 +739,33 @@ func (f *Farm) maybeCloseResultsLocked() {
 	if len(f.pending) > 0 {
 		return // parked tasks: wait for a worker to join and flush them
 	}
-	for _, w := range f.workers {
-		if w.failed && w.queue.len() > 0 {
-			return // stranded tasks: wait for RecoverWorker
-		}
+	if f.strandedLocked() {
+		return // stranded tasks: wait for RecoverWorker
 	}
 	f.resultsClosed = true
 	close(f.results)
+}
+
+// strandedLocked reports whether a crashed worker in the pool still holds
+// accepted tasks in its queue. Callers hold f.mu.
+func (f *Farm) strandedLocked() bool {
+	for _, w := range f.workers {
+		if w.failed && w.queue.len() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// inPoolLocked reports whether w is still a member of the pool (not
+// removed, recovered away or replaced by a migration). Callers hold f.mu.
+func (f *Farm) inPoolLocked(w *worker) bool {
+	for _, x := range f.workers {
+		if x == w {
+			return true
+		}
+	}
+	return false
 }
 
 // runWorker is one worker goroutine: pop, decode, compute, emit.
@@ -695,6 +779,14 @@ func (f *Farm) runWorker(w *worker) {
 			// worker always terminates, leaving its queue stranded.
 			f.mu.Lock()
 			if !w.failed && w.queue.len() > 0 {
+				f.mu.Unlock()
+				continue
+			}
+			if !w.failed && f.strandedLocked() && f.inPoolLocked(w) {
+				// A crashed worker still strands accepted tasks, and
+				// RecoverWorker needs a live worker to move them onto: stay
+				// as that target until its close lets this worker go.
+				w.queue.reopen()
 				f.mu.Unlock()
 				continue
 			}
@@ -767,7 +859,7 @@ func (f *Farm) computeLocal(w *worker, env *envelope) (crashed bool) {
 		f.reportErr(fmt.Errorf("skel: farm %s worker %s decode: %w", f.cfg.Name, w.id, err))
 		return false
 	}
-	w.plainBuf = plain[:0]
+	w.plainBuf = ReuseBuffer(plain)
 	if sp := env.span; sp != nil {
 		// Loopback: reseal is the envelope decode, exec the member loop, and
 		// the wire stage stays zero — no machine boundary was crossed.
@@ -988,29 +1080,22 @@ func (f *Farm) containPanic(w *worker, env *envelope) {
 		w.queue.fail()
 		f.refreshRoutesLocked()
 	}
-	inPool := false
-	for _, x := range f.workers {
-		if x == w {
-			inPool = true
-			break
-		}
-	}
-	if inPool {
+	if f.inPoolLocked(w) {
 		// RecoverWorker drains under f.mu, so a restore landing here is
 		// guaranteed a future drain. A batch envelope is restored intact;
 		// RecoverWorker splits it back into tasks before redistribution.
-		w.queue.restore([]*envelope{env})
+		w.queue.restore(env)
 		f.mu.Unlock()
 		f.hooks.fire()
 		return
 	}
-	f.mu.Unlock()
-	f.hooks.fire()
 	// Late envelope: every member re-enters the unified decision path, one
 	// task at a time (the batch's sealed form belonged to the dead binding).
 	for _, t := range env.tasks {
-		f.sendRouted(t, w)
+		f.routeLocked(t)
 	}
+	f.mu.Unlock()
+	f.hooks.fire()
 	putEnv(env)
 }
 
@@ -1072,77 +1157,7 @@ type PrepareFunc func(id string, node *grid.Node, setCodec func(security.Codec))
 
 // AddWorkerWithPrepare is AddWorker with a preparation phase.
 func (f *Farm) AddWorkerWithPrepare(prepare PrepareFunc) (string, error) {
-	f.mu.Lock()
-	if f.inputDone {
-		f.mu.Unlock()
-		return "", ErrStreamEnded
-	}
-	node, err := f.cfg.RM.Recruit(f.cfg.Recruit)
-	if err != nil {
-		f.recruitFailed = true
-		f.mu.Unlock()
-		return "", err
-	}
-	w := f.newWorkerLocked(node, security.Plain{})
-	f.mu.Unlock()
-
-	if err := f.attachExecutor(w, node); err != nil {
-		return "", err
-	}
-
-	if prepare != nil {
-		// The worker is not yet visible to the dispatcher, so the prepare
-		// phase (e.g. an SSL handshake) cannot race with task sends. For a
-		// remote worker the codec install crosses the wire (bindCodec);
-		// a failed rekey aborts the addition so a worker whose binding the
-		// security manager could not secure never becomes dispatchable —
-		// the two-phase guarantee holds across processes.
-		var bindErr error
-		setCodec := func(c security.Codec) {
-			if err := f.bindCodec(w, c); err != nil && bindErr == nil {
-				bindErr = err
-			}
-		}
-		if err := prepare(w.id, node, setCodec); err != nil {
-			node.Release()
-			w.closeExec()
-			return "", fmt.Errorf("skel: prepare for %s: %w", w.id, err)
-		}
-		if bindErr != nil {
-			node.Release()
-			w.closeExec()
-			return "", fmt.Errorf("skel: prepare rekey for %s: %w", w.id, bindErr)
-		}
-	}
-
-	f.mu.Lock()
-	if f.inputDone {
-		f.mu.Unlock()
-		node.Release()
-		w.closeExec()
-		return "", ErrStreamEnded
-	}
-	f.workers = append(f.workers, w)
-	f.active++
-	f.everHadWorker = true
-	f.refreshRoutesLocked()
-	f.mu.Unlock()
-	go f.runWorker(w)
-	f.flushPending()
-	return w.id, nil
-}
-
-// attachExecutor dials and attaches the transport session for a worker
-// still invisible to the dispatcher. On error the recruited node is
-// released and the addition aborted.
-func (f *Farm) attachExecutor(w *worker, node *grid.Node) error {
-	exec, err := f.executorFor(node)
-	if err != nil {
-		node.Release()
-		return fmt.Errorf("skel: dial executor for %s: %w", w.id, err)
-	}
-	w.exec = exec
-	return nil
+	return f.addWorker(prepare, false)
 }
 
 // AddRecoveryWorker recruits a worker even after the input stream has
@@ -1167,8 +1182,23 @@ func (f *Farm) AddRecoveryWorker() (string, error) {
 // untrusted node gets its binding secured before any stranded task can
 // reach it.
 func (f *Farm) AddRecoveryWorkerWithPrepare(prepare PrepareFunc) (string, error) {
+	return f.addWorker(prepare, true)
+}
+
+// addWorker is the body of both add paths: recruit, attach the transport
+// session, run the prepare phase, then make the worker dispatchable and
+// hand it any parked tasks in one critical section. A regular addition is
+// refused once the input has ended, a recovery one only once the result
+// stream has closed.
+func (f *Farm) addWorker(prepare PrepareFunc, recovery bool) (string, error) {
+	ended := func() bool {
+		if recovery {
+			return f.resultsClosed
+		}
+		return f.inputDone
+	}
 	f.mu.Lock()
-	if f.resultsClosed {
+	if ended() {
 		f.mu.Unlock()
 		return "", ErrStreamEnded
 	}
@@ -1181,14 +1211,20 @@ func (f *Farm) AddRecoveryWorkerWithPrepare(prepare PrepareFunc) (string, error)
 	w := f.newWorkerLocked(node, security.Plain{})
 	f.mu.Unlock()
 
-	if err := f.attachExecutor(w, node); err != nil {
-		return "", err
+	exec, err := f.executorFor(node)
+	if err != nil {
+		node.Release()
+		return "", fmt.Errorf("skel: dial executor for %s: %w", w.id, err)
 	}
+	w.exec = exec
 
 	if prepare != nil {
-		// Not yet visible to the dispatcher or RecoverWorker, so the
-		// handshake cannot race with task sends; remote bindings obey the
-		// same abort-on-failed-rekey rule as AddWorkerWithPrepare.
+		// The worker is not yet visible to the dispatcher or RecoverWorker,
+		// so the prepare phase (e.g. an SSL handshake) cannot race with task
+		// sends. For a remote worker the codec install crosses the wire
+		// (bindCodec); a failed rekey aborts the addition so a worker whose
+		// binding the security manager could not secure never becomes
+		// dispatchable — the two-phase guarantee holds across processes.
 		var bindErr error
 		setCodec := func(c security.Codec) {
 			if err := f.bindCodec(w, c); err != nil && bindErr == nil {
@@ -1208,7 +1244,7 @@ func (f *Farm) AddRecoveryWorkerWithPrepare(prepare PrepareFunc) (string, error)
 	}
 
 	f.mu.Lock()
-	if f.resultsClosed {
+	if ended() {
 		f.mu.Unlock()
 		node.Release()
 		w.closeExec()
@@ -1218,9 +1254,9 @@ func (f *Farm) AddRecoveryWorkerWithPrepare(prepare PrepareFunc) (string, error)
 	f.active++
 	f.everHadWorker = true
 	f.refreshRoutesLocked()
+	f.flushPendingLocked()
 	f.mu.Unlock()
 	go f.runWorker(w)
-	f.flushPending()
 	return w.id, nil
 }
 
@@ -1255,7 +1291,7 @@ func (f *Farm) RemoveWorker() (string, error) {
 		for j := i; j < len(orphans); j += len(targets) {
 			share = append(share, orphans[j])
 		}
-		other.queue.restore(share)
+		other.queue.restore(share...)
 	}
 	return w.id, nil
 }
@@ -1285,12 +1321,17 @@ func (f *Farm) splitEnvelopesLocked(envs []*envelope) []*envelope {
 			continue
 		}
 		for _, t := range env.tasks {
-			wire, err := env.codec.Encode(t.Payload)
+			single := getEnv(len(t.Payload) + security.Overhead(env.codec))
+			wire, err := security.AppendEncode(env.codec, single.wire[:0], t.Payload)
 			if err != nil {
+				putEnv(single)
 				f.reportErr(fmt.Errorf("skel: farm %s split batch re-seal task %d: %w", f.cfg.Name, t.ID, err))
 				continue
 			}
-			out = append(out, &envelope{tasks: []*Task{t}, wire: wire, codec: env.codec})
+			single.tasks = append(single.tasks[:0], t)
+			single.wire = wire
+			single.codec = env.codec
+			out = append(out, single)
 		}
 		// A split batch's span cannot follow its members (they scatter over
 		// many bindings); it publishes as a partial span annotated with the
@@ -1328,7 +1369,7 @@ func (f *Farm) Rebalance() {
 		for j := i; j < len(all); j += len(targets) {
 			share = append(share, all[j])
 		}
-		w.queue.restore(share)
+		w.queue.restore(share...)
 	}
 }
 
@@ -1385,7 +1426,7 @@ func (f *Farm) RecoverWorker(workerID string) (recovered int, err error) {
 	if len(orphans) > 0 && len(live) == 0 {
 		// Nothing to recover onto: put the tasks back and refuse, so the
 		// caller can AddWorker first.
-		dead.queue.restore(orphans)
+		dead.queue.restore(orphans...)
 		return 0, errors.New("skel: no live worker to recover onto")
 	}
 	for i, w := range live {
@@ -1393,15 +1434,20 @@ func (f *Farm) RecoverWorker(workerID string) (recovered int, err error) {
 		for j := i; j < len(orphans); j += len(live) {
 			share = append(share, orphans[j])
 		}
-		w.queue.restore(share)
-		if f.inputDone {
-			// Post-stream recovery targets (e.g. AddRecoveryWorker's)
-			// may still have open queues; close them so they drain the
-			// recovered tasks and exit.
-			w.queue.close()
-		}
+		w.queue.restore(share...)
 	}
 	f.workers = append(f.workers[:idx], f.workers[idx+1:]...)
+	if f.inputDone {
+		// Post-stream recovery targets (AddRecoveryWorker's, or a worker
+		// that stayed on for a recovery) may have open queues; close every
+		// live one so it drains the recovered tasks and exits — or stays on
+		// again while another crashed worker still strands tasks.
+		for _, w := range f.workers {
+			if !w.failed && !w.exited {
+				w.queue.close()
+			}
+		}
+	}
 	f.refreshRoutesLocked()
 	f.maybeCloseResultsLocked()
 	return len(orphans), nil
@@ -1487,7 +1533,7 @@ func (f *Farm) MigrateWorker(workerID string, req grid.Request) (string, error) 
 	// remote resolves foreign codecs by resealing).
 	items := f.splitEnvelopesLocked(old.queue.drain())
 	old.queue.close() // the old worker finishes its current task and exits
-	fresh.queue.restore(items)
+	fresh.queue.restore(items...)
 	if f.inputDone {
 		fresh.queue.close()
 	}

@@ -2,6 +2,7 @@ package skel
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,5 +82,70 @@ func TestDispatchParksWhenAllWorkersCrashed(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("task %d collected %d times (exactly-once violated)", id, c)
 		}
+	}
+}
+
+// TestLiveWorkerStaysForPostStreamRecovery: when the stream ends while a
+// crashed worker still strands tasks, the surviving worker must not drain
+// and retire before the recovery runs — it is the only target
+// RecoverWorker can move the stranded tasks onto.
+func TestLiveWorkerStaysForPostStreamRecovery(t *testing.T) {
+	defer leaktest.Check(t)()
+	f, err := NewFarm(FarmConfig{
+		Name: "stay", Env: fastEnv(), RM: smpRM(8), InitialWorkers: 2, Dispatch: RoundRobin,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Worker w0 blocks inside its first task until released, so the tasks
+	// round-robin hands it afterwards wait in its queue.
+	release := make(chan struct{})
+	blocked := make(chan struct{})
+	var once sync.Once
+	f.SetWorkerFault(func(id string, _ *Task) WorkerFault {
+		if id == "stay.w0" {
+			once.Do(func() { close(blocked) })
+			<-release
+		}
+		return WorkerFault{}
+	})
+	const n = 6
+	in := make(chan *Task, n)
+	out := make(chan *Task, n)
+	runDone := make(chan struct{})
+	go func() { f.Run(context.Background(), in, out); close(runDone) }()
+	for _, task := range mkTasks(n, time.Millisecond) {
+		in <- task
+	}
+	<-blocked
+	for f.Stats().Dispatched < n {
+		time.Sleep(time.Millisecond)
+	}
+	if err := f.KillWorker("stay.w0"); err != nil {
+		t.Fatal(err)
+	}
+	close(in)
+	// w1 finishes its own three tasks; then w0's stranded tasks must still
+	// find it in the pool.
+	for i := 0; i < n/2; i++ {
+		<-out
+	}
+	time.Sleep(20 * time.Millisecond)
+	got, err := f.RecoverWorker("stay.w0")
+	if err != nil {
+		close(release)
+		t.Fatalf("RecoverWorker after the stream ended: %v", err)
+	}
+	if got == 0 {
+		t.Error("no stranded task recovered")
+	}
+	close(release)
+	seen := n / 2
+	for range out {
+		seen++
+	}
+	<-runDone
+	if seen != n {
+		t.Fatalf("collected %d tasks, want %d", seen, n)
 	}
 }

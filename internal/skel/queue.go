@@ -93,6 +93,14 @@ func (q *queue) close() {
 	q.mu.Unlock()
 }
 
+// reopen lifts close: the owner stays on as a recovery target, and the
+// next close (RecoverWorker's) lets it drain and exit again.
+func (q *queue) reopen() {
+	q.mu.Lock()
+	q.closed = false
+	q.mu.Unlock()
+}
+
 // fail marks the owning worker crashed, waking it so it can terminate.
 func (q *queue) fail() {
 	q.mu.Lock()
@@ -105,7 +113,7 @@ func (q *queue) fail() {
 // rebalance or worker removal). Unlike push it succeeds even on a closed
 // or failed queue: closing only forbids *new* input, while redistributed
 // tasks must never be lost.
-func (q *queue) restore(items []*envelope) {
+func (q *queue) restore(items ...*envelope) {
 	if len(items) == 0 {
 		return
 	}

@@ -652,3 +652,55 @@ func TestSourceEdgeFiresOnCancel(t *testing.T) {
 		t.Fatal("source not marked done after cancel")
 	}
 }
+
+// TestEnvelopeBufferFollowsPayloadClass pins the size-classed envelope
+// pools: once a 16 KiB envelope has been returned, a 256 B send must not
+// be handed a buffer above its own class bound, so a queue of small
+// envelopes never pins the largest payload the farm has seen.
+func TestEnvelopeBufferFollowsPayloadClass(t *testing.T) {
+	f, err := NewFarm(FarmConfig{Name: "classes", Env: fastEnv(), RM: smpRM(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.mu.Lock()
+	w := f.newWorkerLocked(nil, security.MustAESGCM(security.NewRandomKey(), nil, 0))
+	f.mu.Unlock()
+	roundTrip := func(n int) int {
+		f.send(w, &Task{ID: 1, Payload: make([]byte, n)}, false, nil)
+		env, ok := w.queue.pop()
+		if !ok {
+			t.Fatal("sent envelope was not queued")
+		}
+		c := cap(env.wire)
+		putEnv(env)
+		return c
+	}
+	if c := roundTrip(16 << 10); c <= 16<<10 {
+		t.Fatalf("16 KiB send sealed into a %d-byte buffer", c)
+	}
+	for i := 0; i < 100; i++ {
+		if c := roundTrip(256); c > envClassMin {
+			t.Fatalf("256 B send got a %d-byte buffer, above its %d-byte class bound", c, envClassMin)
+		}
+	}
+}
+
+func TestEnvelopeClasses(t *testing.T) {
+	for _, tc := range []struct{ n, class int }{
+		{0, 0}, {envClassMin, 0}, {envClassMin + 1, 1}, {8 << 10, 1}, {8<<10 + 1, 2},
+		{64 << 10, 2}, {64<<10 + 1, 3}, {MaxRetainedBuffer, 3}, {MaxRetainedBuffer + 1, 3},
+	} {
+		if got := envClass(tc.n); got != tc.class {
+			t.Errorf("envClass(%d) = %d, want %d", tc.n, got, tc.class)
+		}
+	}
+	if MaxRetainedBuffer != 512<<10 {
+		t.Errorf("MaxRetainedBuffer = %d, want 512 KiB", MaxRetainedBuffer)
+	}
+	if b := ReuseBuffer(make([]byte, 10, MaxRetainedBuffer)); b == nil || len(b) != 0 {
+		t.Error("ReuseBuffer dropped a buffer at the largest class bound")
+	}
+	if b := ReuseBuffer(make([]byte, 0, MaxRetainedBuffer+1)); b != nil {
+		t.Error("ReuseBuffer kept a buffer past the largest class bound")
+	}
+}

@@ -35,6 +35,16 @@ func boundedAlloc(t *testing.T, fn func()) {
 	}
 }
 
+// execBody and execBatchBody build whole exec and exec-batch frame bodies
+// the way Session.exec lays them out: fixed fields, then the sealed bytes.
+func execBody(epoch uint32, taskID uint64, workNanos int64, tc telemetry.TraceContext, sealed []byte) []byte {
+	return append(appendExecHeader(nil, epoch, taskID, workNanos, tc), sealed...)
+}
+
+func execBatchBody(epoch uint32, batchID uint64, sealed []byte) []byte {
+	return append(appendExecBatchHeader(nil, epoch, batchID), sealed...)
+}
+
 func frameBytes(typ byte, body []byte) []byte {
 	var buf bytes.Buffer
 	_ = writeFrame(&buf, typ, body)
@@ -208,7 +218,7 @@ func FuzzParseBatchBlob(f *testing.F) {
 			entries []skel.BatchEntry
 			err     error
 		)
-		boundedAlloc(t, func() { _, entries, err = skel.ParseBatchBlob(blob) })
+		boundedAlloc(t, func() { _, entries, err = skel.ParseBatchBlob(nil, blob) })
 		if err != nil {
 			return
 		}

@@ -17,7 +17,9 @@ import (
 // WorkerFn transforms one task payload on the workerd side. Coordinator
 // and workerd agree on the function by deployment (the workerd applies the
 // function it was started with), mirroring how the skeleton's functional
-// code is compiled into every process of a distributed run.
+// code is compiled into every process of a distributed run. payload lives
+// in the connection's reusable buffer: the function may return it or a
+// subslice of it, but must not keep it past the call.
 type WorkerFn func(payload []byte) []byte
 
 // ServerConfig parameterizes a workerd endpoint.
@@ -199,6 +201,12 @@ func (s *Server) logf(format string, args ...any) {
 // loop is deliberately synchronous — one task at a time per connection —
 // because the peer is one farm worker, and a worker is serial by
 // definition; parallelism comes from more workers, i.e. more connections.
+//
+// Every per-frame buffer belongs to the connection and is reused from
+// frame to frame: the frame read, the opened request, the parsed batch
+// entries, the result blob and the reply frame, into which the result is
+// sealed in place. A buffer one large frame grew past
+// skel.MaxRetainedBuffer is dropped rather than kept.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -218,20 +226,36 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Old epochs stay resolvable so frames sealed before a rekey landed
 	// (the §3.2 hazard window, stretched across a wire) still decode.
 	keyring := map[uint32]security.Codec{0: security.Plain{}}
+	in := frameReader{r: conn}
+	var (
+		out     []byte // the reply frame
+		plain   []byte // the opened request payload or batch blob
+		blob    []byte // the result blob before sealing
+		entries []skel.BatchEntry
+	)
+	// send writes a reply frame built on out and keeps out for the next.
+	send := func(frame []byte) bool {
+		err := sendFrame(conn, frame)
+		out = skel.ReuseBuffer(frame)
+		return err == nil
+	}
 	for {
-		typ, body, err := readFrame(conn)
+		plain, blob = skel.ReuseBuffer(plain), skel.ReuseBuffer(blob)
+		clear(entries)
+		entries = entries[:0]
+		typ, body, err := in.read()
 		if err != nil {
 			return // peer gone or frame malformed; either way the link is done
 		}
 		switch typ {
 		case frameRekey:
-			plain, err := s.master.Decode(body)
+			req, err := s.master.Decode(body)
 			if err != nil {
 				s.rejected.Add(1)
 				s.logf("wire: %s: rekey did not authenticate: %v", conn.RemoteAddr(), err)
 				return // fail-secure: an unauthenticated rekey kills the link
 			}
-			epoch, codec, err := parseRekey(plain)
+			epoch, codec, err := parseRekey(req)
 			if err != nil {
 				s.rejected.Add(1)
 				s.logf("wire: %s: %v", conn.RemoteAddr(), err)
@@ -248,24 +272,24 @@ func (s *Server) serveConn(conn net.Conn) {
 			codec, ok := keyring[epoch]
 			if !ok {
 				s.rejected.Add(1)
-				s.reply(conn, batchID, resultErr, 0, fmt.Appendf(nil, "unknown binding epoch %d", epoch))
+				s.reply(conn, batchID, fmt.Sprintf("unknown binding epoch %d", epoch))
 				continue
 			}
-			blob, err := codec.Decode(sealed)
-			if err != nil {
+			if plain, err = security.AppendDecode(codec, plain, sealed); err != nil {
 				s.rejected.Add(1)
-				s.reply(conn, batchID, resultErr, 0, []byte("batch did not authenticate"))
+				s.reply(conn, batchID, "batch did not authenticate")
 				continue
 			}
-			tc, entries, err := skel.ParseBatchBlob(blob)
+			tc, parsed, err := skel.ParseBatchBlob(entries, plain)
 			if err != nil {
 				// Authenticated but malformed: refuse the whole batch (the
 				// member boundaries cannot be trusted), same failure class
 				// as a short exec frame.
 				s.rejected.Add(1)
-				s.reply(conn, batchID, resultErr, 0, []byte("malformed batch blob"))
+				s.reply(conn, batchID, "malformed batch blob")
 				continue
 			}
+			entries = parsed
 			var sp *telemetry.Span
 			if tc.Sampled && s.cfg.Tracer != nil && len(entries) > 0 {
 				sp = s.cfg.Tracer.StartRemote(tc, entries[0].ID)
@@ -275,39 +299,30 @@ func (s *Server) serveConn(conn net.Conn) {
 				sp.Mark(telemetry.StageReseal) // request decode + blob parse
 			}
 			execStart := time.Now()
-			results := make([]skel.BatchEntry, len(entries))
-			for i, e := range entries {
+			for i := range entries {
+				e := &entries[i]
 				if scale := s.cfg.TimeScale; scale > 0 && e.Work > 0 {
 					time.Sleep(time.Duration(float64(e.Work) / scale))
 				}
-				payload := e.Payload
 				if s.cfg.Fn != nil {
-					payload = s.cfg.Fn(payload)
+					e.Payload = s.cfg.Fn(e.Payload)
 				}
-				results[i] = skel.BatchEntry{ID: e.ID, Payload: payload}
 			}
 			execNanos := int64(time.Since(execStart))
 			if sp != nil {
 				sp.Mark(telemetry.StageExec)
 			}
-			sealStart := time.Now()
-			resealed, err := codec.Encode(skel.AppendBatchResult(nil, results))
-			if ins := s.cfg.Instruments; ins != nil {
-				ins.Seal.ObserveDuration(time.Since(sealStart))
-			}
-			if sp != nil {
-				sp.Mark(telemetry.StageSeal)
-				s.cfg.Tracer.Publish(sp)
-			}
+			blob = skel.AppendBatchResult(blob, entries)
+			frame, err := s.sealResult(out, codec, batchID, execNanos, blob, sp)
 			if err != nil {
-				s.reply(conn, batchID, resultErr, 0, []byte("result seal failed"))
+				s.reply(conn, batchID, "result seal failed")
 				continue
 			}
 			s.served.Add(uint64(len(entries)))
 			if ins := s.cfg.Instruments; ins != nil {
 				ins.Dispatch.ObserveDuration(time.Since(frameStart))
 			}
-			if !s.reply(conn, batchID, resultOK, execNanos, resealed) {
+			if !send(frame) {
 				return
 			}
 		case frameExec:
@@ -320,7 +335,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			codec, ok := keyring[epoch]
 			if !ok {
 				s.rejected.Add(1)
-				s.reply(conn, taskID, resultErr, 0, fmt.Appendf(nil, "unknown binding epoch %d", epoch))
+				s.reply(conn, taskID, fmt.Sprintf("unknown binding epoch %d", epoch))
 				continue
 			}
 			var sp *telemetry.Span
@@ -329,8 +344,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				sp.Node = s.cfg.Hello.Name
 				sp.Remote = true
 			}
-			payload, err := codec.Decode(sealed)
-			if err != nil {
+			if plain, err = security.AppendDecode(codec, plain, sealed); err != nil {
 				// The envelope does not authenticate under its declared
 				// epoch: refuse it, never execute it. The error text names
 				// the failure only — payload bytes must not echo back.
@@ -339,7 +353,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					sp.Fault = "auth"
 					s.cfg.Tracer.Publish(sp)
 				}
-				s.reply(conn, taskID, resultErr, 0, []byte("payload did not authenticate"))
+				s.reply(conn, taskID, "payload did not authenticate")
 				continue
 			}
 			if sp != nil {
@@ -349,6 +363,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if scale := s.cfg.TimeScale; scale > 0 && workNanos > 0 {
 				time.Sleep(time.Duration(float64(workNanos) / scale))
 			}
+			payload := plain
 			if s.cfg.Fn != nil {
 				payload = s.cfg.Fn(payload)
 			}
@@ -356,24 +371,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			if sp != nil {
 				sp.Mark(telemetry.StageExec)
 			}
-			sealStart := time.Now()
-			resealed, err := codec.Encode(payload)
-			if ins := s.cfg.Instruments; ins != nil {
-				ins.Seal.ObserveDuration(time.Since(sealStart))
-			}
-			if sp != nil {
-				sp.Mark(telemetry.StageSeal)
-				s.cfg.Tracer.Publish(sp)
-			}
+			frame, err := s.sealResult(out, codec, taskID, execNanos, payload, sp)
 			if err != nil {
-				s.reply(conn, taskID, resultErr, 0, []byte("result seal failed"))
+				s.reply(conn, taskID, "result seal failed")
 				continue
 			}
 			s.served.Add(1)
 			if ins := s.cfg.Instruments; ins != nil {
 				ins.Dispatch.ObserveDuration(time.Since(frameStart))
 			}
-			if !s.reply(conn, taskID, resultOK, execNanos, resealed) {
+			if !send(frame) {
 				return
 			}
 		case frameControl:
@@ -387,7 +394,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.logf("wire: %s: %v", conn.RemoteAddr(), err)
 				return
 			}
-			if err := writeFrame(conn, frameControlReply, reply); err != nil {
+			if !send(append(beginFrame(out, frameControlReply), reply...)) {
 				return
 			}
 		default:
@@ -396,6 +403,21 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// sealResult seals one executed frame's result under its binding codec
+// straight into a result frame built on out, and closes the frame's span.
+func (s *Server) sealResult(out []byte, codec security.Codec, id uint64, execNanos int64, result []byte, sp *telemetry.Span) ([]byte, error) {
+	sealStart := time.Now()
+	frame, err := security.AppendEncode(codec, appendResultHeader(beginFrame(out, frameResult), id, resultOK, execNanos), result)
+	if ins := s.cfg.Instruments; ins != nil {
+		ins.Seal.ObserveDuration(time.Since(sealStart))
+	}
+	if sp != nil {
+		sp.Mark(telemetry.StageSeal)
+		s.cfg.Tracer.Publish(sp)
+	}
+	return frame, err
 }
 
 // serveControl opens one control request, runs the handler its op names
@@ -416,7 +438,8 @@ func (s *Server) serveControl(body []byte) ([]byte, error) {
 	return s.master.Encode(handle(plain[1:]))
 }
 
-// reply writes one result frame; false means the connection is dead.
-func (s *Server) reply(conn net.Conn, taskID uint64, status byte, execNanos int64, rest []byte) bool {
-	return writeFrame(conn, frameResult, resultBody(taskID, status, execNanos, rest)) == nil
+// reply writes one error result frame; false means the connection is
+// dead.
+func (s *Server) reply(conn net.Conn, taskID uint64, msg string) bool {
+	return writeFrame(conn, frameResult, append(appendResultHeader(nil, taskID, resultErr, 0), msg...)) == nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/security"
+	"repro/internal/skel"
 	"repro/internal/telemetry"
 )
 
@@ -33,6 +34,11 @@ type Session struct {
 	conn    net.Conn
 	epoch   uint32
 	binding security.Codec // codec of the current epoch, for foreign reseals
+	// out is the frame being written and in reads the replies, both
+	// reused from frame to frame under mu: a sealed result Exec returns
+	// aliases in's buffer until the next call on the session.
+	out []byte
+	in  frameReader
 
 	// batchSeq correlates exec-batch frames with their result frames, the
 	// role the task id plays for single execs.
@@ -74,6 +80,7 @@ func dialSession(addr string, master security.Codec, timeout time.Duration, faul
 		stats:   stats,
 		conn:    conn,
 		binding: security.Plain{},
+		in:      frameReader{r: conn},
 	}, nil
 }
 
@@ -95,6 +102,18 @@ func (e *epochCodec) Name() string                        { return e.inner.Name(
 func (e *epochCodec) Secure() bool                        { return e.inner.Secure() }
 func (e *epochCodec) Encode(plain []byte) ([]byte, error) { return e.inner.Encode(plain) }
 func (e *epochCodec) Decode(wire []byte) ([]byte, error)  { return e.inner.Decode(wire) }
+func (e *epochCodec) Overhead() int                       { return security.Overhead(e.inner) }
+
+// AppendEncode and AppendDecode keep the inner codec's allocation-free
+// paths reachable through the wrapper, so the farm seals a remote
+// binding's envelopes into pooled buffers exactly like a loopback one's.
+func (e *epochCodec) AppendEncode(dst, plain []byte) ([]byte, error) {
+	return security.AppendEncode(e.inner, dst, plain)
+}
+
+func (e *epochCodec) AppendDecode(dst, wire []byte) ([]byte, error) {
+	return security.AppendDecode(e.inner, dst, wire)
+}
 
 // Rekey implements skel.Executor: it ships codec c to the workerd inside a
 // control frame sealed under the link's master codec — the raw key never
@@ -122,11 +141,11 @@ func (s *Session) Rekey(c security.Codec) (security.Codec, error) {
 	if err != nil {
 		return nil, err
 	}
-	sealed, err := s.master.Encode(plain)
+	frame, err := security.AppendEncode(s.master, beginFrame(s.out, frameRekey), plain)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.writeLocked(frameRekey, sealed); err != nil {
+	if err := s.sendLocked(frame); err != nil {
 		return nil, err
 	}
 	s.epoch = epoch
@@ -146,32 +165,35 @@ func (s *Session) Rekey(c security.Codec) (security.Codec, error) {
 // The trace context rides in the exec frame; the workerd's reply reports
 // its own measured exec time, which the farm joins with its local round
 // trip by interval arithmetic to separate wire and exec stages.
+// The returned sealed result is valid until the next call on the session.
 func (s *Session) Exec(tc telemetry.TraceContext, taskID uint64, work time.Duration, codec security.Codec, sealed []byte) ([]byte, int64, error) {
-	return s.exec("task", taskID, codec, sealed, func(epoch uint32, sealed []byte) (byte, []byte) {
-		return frameExec, execBody(epoch, taskID, int64(work), tc, sealed)
+	return s.exec("task", frameExec, taskID, codec, sealed, func(dst []byte, epoch uint32) []byte {
+		return appendExecHeader(dst, epoch, taskID, int64(work), tc)
 	})
 }
 
 // ExecBatch implements skel.BatchExecutor: one sealed multi-task blob out
 // in a single frame, one result frame back carrying the sealed result blob
 // — framing and sealing amortize over the batch exactly as on the loopback
-// path. The foreign-codec rule of Exec applies unchanged.
+// path. The foreign-codec rule of Exec applies unchanged, and so does the
+// lifetime of the returned result.
 // A batch's trace context travels inside the sealed blob (skel's batch
 // layout), so the frame itself needs none.
 func (s *Session) ExecBatch(codec security.Codec, sealed []byte) ([]byte, int64, error) {
 	batchID := s.batchSeq.Add(1)
-	return s.exec("batch", batchID, codec, sealed, func(epoch uint32, sealed []byte) (byte, []byte) {
-		return frameExecBatch, execBatchBody(epoch, batchID, sealed)
+	return s.exec("batch", frameExecBatch, batchID, codec, sealed, func(dst []byte, epoch uint32) []byte {
+		return appendExecBatchHeader(dst, epoch, batchID)
 	})
 }
 
-// exec is the round trip behind Exec and ExecBatch: reseal a payload
-// sealed under a foreign codec into this session's binding, write the
-// frame that frame builds around it, await the result frame for id, and
+// exec is the round trip behind Exec and ExecBatch: build a frame of type
+// typ in the session's frame buffer — header appends the fixed fields,
+// then the payload follows, resealed into this session's binding when it
+// was sealed under a foreign codec — await the result frame for id, and
 // translate a resealed reply back to the caller's codec. what names the
 // unit ("task", "batch") in errors.
-func (s *Session) exec(what string, id uint64, codec security.Codec, sealed []byte,
-	frame func(epoch uint32, sealed []byte) (byte, []byte)) ([]byte, int64, error) {
+func (s *Session) exec(what string, typ byte, id uint64, codec security.Codec, sealed []byte,
+	header func(dst []byte, epoch uint32) []byte) ([]byte, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -180,10 +202,10 @@ func (s *Session) exec(what string, id uint64, codec security.Codec, sealed []by
 	if err := s.faults.apply(s); err != nil {
 		return nil, 0, err
 	}
-	epoch := uint32(0)
 	var foreign security.Codec
+	var frame []byte
 	if ec, ok := codec.(*epochCodec); ok && ec.s == s {
-		epoch = ec.epoch
+		frame = append(header(beginFrame(s.out, typ), ec.epoch), sealed...)
 	} else {
 		// The reply will come back sealed under this session's binding;
 		// remember the foreign codec so the result can be handed back
@@ -193,15 +215,15 @@ func (s *Session) exec(what string, id uint64, codec security.Codec, sealed []by
 		if err != nil {
 			return nil, 0, fmt.Errorf("wire: reseal %s for session: %w", what, err)
 		}
-		if sealed, err = s.binding.Encode(plain); err != nil {
+		frame, err = security.AppendEncode(s.binding, header(beginFrame(s.out, typ), s.epoch), plain)
+		if err != nil {
 			return nil, 0, fmt.Errorf("wire: reseal %s for session: %w", what, err)
 		}
-		epoch = s.epoch
 	}
-	if err := s.writeLocked(frame(epoch, sealed)); err != nil {
+	if err := s.sendLocked(frame); err != nil {
 		return nil, 0, err
 	}
-	typ, body, err := readFrame(s.conn)
+	typ, body, err := s.in.read()
 	if err != nil {
 		s.closeLocked()
 		return nil, 0, fmt.Errorf("wire: reading %s result: %w", what, err)
@@ -261,14 +283,14 @@ func (s *Session) control(op byte, req []byte) ([]byte, error) {
 	if s.closed.Load() { // a drop may have landed during the fault window
 		return nil, ErrSessionClosed
 	}
-	sealed, err := s.master.Encode(append([]byte{op}, req...))
+	frame, err := security.AppendEncode(s.master, beginFrame(s.out, frameControl), append([]byte{op}, req...))
 	if err != nil {
 		return nil, fmt.Errorf("wire: sealing control request: %w", err)
 	}
-	if err := s.writeLocked(frameControl, sealed); err != nil {
+	if err := s.sendLocked(frame); err != nil {
 		return nil, err
 	}
-	typ, body, err := readFrame(s.conn)
+	typ, body, err := s.in.read()
 	if err != nil {
 		s.closeLocked()
 		return nil, fmt.Errorf("wire: reading control reply: %w", err)
@@ -285,10 +307,13 @@ func (s *Session) control(op byte, req []byte) ([]byte, error) {
 	return plain, nil
 }
 
-// writeLocked writes one frame; any error poisons the session. Callers
-// hold s.mu.
-func (s *Session) writeLocked(typ byte, body []byte) error {
-	if err := writeFrame(s.conn, typ, body); err != nil {
+// sendLocked writes one frame built in the session's frame buffer and
+// keeps the buffer for the next one; any error poisons the session.
+// Callers hold s.mu.
+func (s *Session) sendLocked(frame []byte) error {
+	err := sendFrame(s.conn, frame)
+	s.out = skel.ReuseBuffer(frame)
+	if err != nil {
 		s.closeLocked()
 		return fmt.Errorf("wire: write: %w", err)
 	}

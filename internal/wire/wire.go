@@ -45,6 +45,7 @@ import (
 	"io"
 
 	"repro/internal/security"
+	"repro/internal/skel"
 	"repro/internal/telemetry"
 )
 
@@ -77,40 +78,71 @@ var (
 	errFrameEmpty    = errors.New("wire: zero-length frame")
 )
 
-// writeFrame writes one frame. Callers serialize access to w.
-func writeFrame(w io.Writer, typ byte, body []byte) error {
-	if len(body)+1 > maxFrame {
+// beginFrame starts a frame of type typ in buf's backing array, reusing
+// its capacity: four length bytes, which sendFrame fills in, then the type
+// byte. The caller appends the body.
+func beginFrame(buf []byte, typ byte) []byte {
+	return append(buf[:0], 0, 0, 0, 0, typ)
+}
+
+// sendFrame fills in the length of a frame built on beginFrame and writes
+// it with a single Write. Callers serialize access to w.
+func sendFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - 4
+	if n > maxFrame {
 		return errFrameTooLarge
 	}
-	buf := make([]byte, 5+len(body))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(body)+1))
-	buf[4] = typ
-	copy(buf[5:], body)
-	_, err := w.Write(buf)
+	binary.BigEndian.PutUint32(frame[:4], uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
-// readFrame reads one frame. Callers serialize access to r.
-func readFrame(r io.Reader) (typ byte, body []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+// writeFrame writes one frame around a separately built body, copying both
+// into a fresh frame: for the handshake and error replies. The per-task
+// paths build their frames in place in a reused buffer instead.
+func writeFrame(w io.Writer, typ byte, body []byte) error {
+	return sendFrame(w, append(beginFrame(nil, typ), body...))
+}
+
+// frameReader reads one connection's frames into a buffer it reuses from
+// frame to frame, so a body it returns is valid only until the next read.
+// A buffer one frame grew past skel.MaxRetainedBuffer is replaced at the
+// next frame rather than kept. Callers serialize reads.
+type frameReader struct {
+	r   io.Reader
+	hdr [4]byte
+	buf []byte
+}
+
+// read reads one frame. It allocates only for a frame larger than the
+// buffer it holds, and never more than the frame's declared length, which
+// is checked against maxFrame first.
+func (fr *frameReader) read() (typ byte, body []byte, err error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := binary.BigEndian.Uint32(fr.hdr[:])
 	if n == 0 {
 		return 0, nil, errFrameEmpty
 	}
 	if n > maxFrame {
 		return 0, nil, errFrameTooLarge
 	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
+	if cap(fr.buf) < int(n) || cap(fr.buf) > skel.MaxRetainedBuffer {
+		fr.buf = make([]byte, n)
+	}
+	frame := fr.buf[:n]
+	if _, err := io.ReadFull(fr.r, frame); err != nil {
 		return 0, nil, err
 	}
-	body = make([]byte, n-1)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
-	}
-	return hdr[4], body, nil
+	return frame[0], frame[1:], nil
+}
+
+// readFrame reads one frame into fresh memory: for the handshake, before a
+// connection has a frameReader of its own.
+func readFrame(r io.Reader) (typ byte, body []byte, err error) {
+	fr := frameReader{r: r}
+	return fr.read()
 }
 
 // Hello is the node advertisement a workerd sends on every new connection,
@@ -215,19 +247,17 @@ func transportable(c security.Codec) (name string, key []byte, err error) {
 	}
 }
 
-// execBody encodes an exec frame body:
-// uint32 epoch | uint64 taskID | int64 workNanos | trace context | sealed
-// payload. The 17-byte trace context (telemetry.TraceContext) travels in
-// the frame, not the seal: it carries no payload data, and the workerd
-// needs it before any decode to know whether this exec joins a sampled
-// trace.
-func execBody(epoch uint32, taskID uint64, workNanos int64, tc telemetry.TraceContext, sealed []byte) []byte {
-	body := make([]byte, 0, 20+telemetry.TraceContextSize+len(sealed))
-	body = binary.BigEndian.AppendUint32(body, epoch)
-	body = binary.BigEndian.AppendUint64(body, taskID)
-	body = binary.BigEndian.AppendUint64(body, uint64(workNanos))
-	body = tc.AppendTo(body)
-	return append(body, sealed...)
+// appendExecHeader appends the fixed fields of an exec frame body:
+// uint32 epoch | uint64 taskID | int64 workNanos | trace context. The
+// sealed payload follows them. The 17-byte trace context
+// (telemetry.TraceContext) travels in the frame, not the seal: it carries
+// no payload data, and the workerd needs it before any decode to know
+// whether this exec joins a sampled trace.
+func appendExecHeader(dst []byte, epoch uint32, taskID uint64, workNanos int64, tc telemetry.TraceContext) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, epoch)
+	dst = binary.BigEndian.AppendUint64(dst, taskID)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(workNanos))
+	return tc.AppendTo(dst)
 }
 
 // parseExec decodes an exec frame body.
@@ -244,16 +274,14 @@ func parseExec(body []byte) (epoch uint32, taskID uint64, workNanos int64, tc te
 	return epoch, taskID, workNanos, tc, body[20+telemetry.TraceContextSize:], nil
 }
 
-// execBatchBody encodes an exec-batch frame body:
-// uint32 epoch | uint64 batchID | sealed batch blob. The blob's per-task
-// ids, work and payloads are inside the seal (skel's batch blob layout);
-// batchID exists only to correlate the result frame, exactly like a task
-// id on a single exec.
-func execBatchBody(epoch uint32, batchID uint64, sealed []byte) []byte {
-	body := make([]byte, 0, 12+len(sealed))
-	body = binary.BigEndian.AppendUint32(body, epoch)
-	body = binary.BigEndian.AppendUint64(body, batchID)
-	return append(body, sealed...)
+// appendExecBatchHeader appends the fixed fields of an exec-batch frame
+// body: uint32 epoch | uint64 batchID. The sealed batch blob follows them;
+// its per-task ids, work and payloads are inside the seal (skel's batch
+// blob layout). batchID exists only to correlate the result frame, exactly
+// like a task id on a single exec.
+func appendExecBatchHeader(dst []byte, epoch uint32, batchID uint64) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, epoch)
+	return binary.BigEndian.AppendUint64(dst, batchID)
 }
 
 // parseExecBatch decodes an exec-batch frame body.
@@ -272,19 +300,18 @@ const (
 	resultErr byte = 1
 )
 
-// resultBody encodes a result frame body:
-// uint64 taskID | status | int64 execNanos | sealed result (OK) or error
-// text (Err). execNanos is the server-measured execution time of the frame
-// (modelled sleep plus worker function), reported in the server's own
-// clock: the coordinator subtracts it from its locally measured round trip
-// to split wire time from exec time by interval arithmetic — the two
-// clocks are never compared directly, so skew cannot corrupt the split.
-func resultBody(taskID uint64, status byte, execNanos int64, rest []byte) []byte {
-	body := make([]byte, 0, 17+len(rest))
-	body = binary.BigEndian.AppendUint64(body, taskID)
-	body = append(body, status)
-	body = binary.BigEndian.AppendUint64(body, uint64(execNanos))
-	return append(body, rest...)
+// appendResultHeader appends the fixed fields of a result frame body:
+// uint64 taskID | status | int64 execNanos. The sealed result (OK) or the
+// error text (Err) follows them. execNanos is the server-measured
+// execution time of the frame (modelled sleep plus worker function),
+// reported in the server's own clock: the coordinator subtracts it from
+// its locally measured round trip to split wire time from exec time by
+// interval arithmetic — the two clocks are never compared directly, so
+// skew cannot corrupt the split.
+func appendResultHeader(dst []byte, taskID uint64, status byte, execNanos int64) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, taskID)
+	dst = append(dst, status)
+	return binary.BigEndian.AppendUint64(dst, uint64(execNanos))
 }
 
 // parseResult decodes a result frame body.

@@ -66,6 +66,39 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameReaderReusesBuffer pins the per-connection read buffer: frames
+// no larger than one already read land in the same memory without
+// allocating, and a buffer one oversized frame grew past
+// skel.MaxRetainedBuffer is dropped at the next read instead of kept.
+func TestFrameReaderReusesBuffer(t *testing.T) {
+	small := frameBytes(frameExec, bytes.Repeat([]byte("s"), 300))
+	r := bytes.NewReader(small)
+	fr := frameReader{r: r}
+	if _, _, err := fr.read(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(small)
+		if _, body, err := fr.read(); err != nil || len(body) != 300 {
+			t.Fatalf("read: %d bytes, %v", len(body), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reading a frame into a warm buffer allocated %v times", allocs)
+	}
+	r.Reset(frameBytes(frameExec, make([]byte, skel.MaxRetainedBuffer+1)))
+	if _, _, err := fr.read(); err != nil {
+		t.Fatal(err)
+	}
+	r.Reset(small)
+	if _, _, err := fr.read(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(fr.buf) > skel.MaxRetainedBuffer {
+		t.Fatalf("read buffer kept %d bytes after an oversized frame", cap(fr.buf))
+	}
+}
+
 func TestSessionRekeyAndExec(t *testing.T) {
 	srv := startServer(t, edgeHello("edge0"), func(p []byte) []byte {
 		return append(p, []byte("+fn")...)
