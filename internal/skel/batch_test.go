@@ -3,6 +3,7 @@ package skel
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -39,17 +40,6 @@ func TestBatchBlobRoundtrip(t *testing.T) {
 			t.Fatalf("entry %d = %+v", i, e)
 		}
 	}
-
-	// The in-place unpack must agree with the parsed view.
-	fresh := []*Task{{ID: 11}, {ID: 12}, {ID: 13}}
-	if err := unpackBatchInto(blob, fresh); err != nil {
-		t.Fatal(err)
-	}
-	for i, tk := range fresh {
-		if !bytes.Equal(tk.Payload, want[i]) {
-			t.Fatalf("task %d payload = %q", i, tk.Payload)
-		}
-	}
 }
 
 func TestBatchBlobWorkOverride(t *testing.T) {
@@ -76,15 +66,27 @@ func TestBatchBlobMalformed(t *testing.T) {
 		if _, _, err := ParseBatchBlob(nil, b); err == nil {
 			t.Errorf("ParseBatchBlob(%s): no error", name)
 		}
-		if err := unpackBatchInto(b, []*Task{{ID: 1}, {ID: 2}}); err == nil {
-			t.Errorf("unpackBatchInto(%s): no error", name)
+	}
+	// A count that disagrees with the entries present leaves bytes over or
+	// runs short; either way the blob is refused.
+	for _, n := range []uint32{1, 3} {
+		b := append([]byte(nil), blob...)
+		binary.BigEndian.PutUint32(b[telemetry.TraceContextSize:], n)
+		if _, _, err := ParseBatchBlob(nil, b); err == nil {
+			t.Errorf("count %d over 2 entries accepted", n)
 		}
 	}
-	if err := unpackBatchInto(blob, []*Task{{ID: 1}}); err == nil {
-		t.Error("count mismatch accepted")
+	// The parsed view carries each entry's own ID, in blob order: a
+	// rewritten ID reaches the server as written, never matched away.
+	b := append([]byte(nil), blob...)
+	second := telemetry.TraceContextSize + 4 + 20 + len(tasks[0].Payload)
+	binary.BigEndian.PutUint64(b[second:], 99)
+	_, entries, err := ParseBatchBlob(nil, b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := unpackBatchInto(blob, []*Task{{ID: 1}, {ID: 99}}); err == nil {
-		t.Error("ID mismatch accepted")
+	if entries[0].ID != 1 || entries[1].ID != 99 {
+		t.Errorf("parsed IDs %d, %d; want 1, 99", entries[0].ID, entries[1].ID)
 	}
 }
 
@@ -170,7 +172,7 @@ func TestBroadcastPushFailureDropsClone(t *testing.T) {
 	// removed or migrated after the dispatch snapshot was taken.
 	w2.queue.close()
 
-	f.dispatch(&Task{ID: NextTaskID(), Payload: []byte("b")})
+	f.newDispatcher().dispatchOne(&Task{ID: NextTaskID(), Payload: []byte("b")})
 
 	if n := w1.queue.len(); n != 1 {
 		t.Fatalf("w1 queue holds %d envelopes, want exactly 1 (duplicate broadcast clone re-routed)", n)
@@ -230,7 +232,7 @@ drain:
 }
 
 // TestSplitEnvelopes verifies the actuator-side batch split: each member of
-// a batch envelope becomes a single envelope re-sealed with the codec the
+// a batch envelope becomes a one-task envelope re-sealed with the codec the
 // batch carried, so redistribution hands downstream workers exactly the
 // envelopes the unbatched farm would have produced.
 func TestSplitEnvelopes(t *testing.T) {
@@ -249,7 +251,7 @@ func TestSplitEnvelopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &envelope{tasks: append([]*Task(nil), tasks...), wire: wire, codec: codec, batch: true}
+	env := &envelope{tasks: append([]*Task(nil), tasks...), wire: wire, codec: codec}
 	single := &envelope{tasks: []*Task{{ID: 34, Payload: []byte("solo")}}, wire: []byte("raw"), codec: security.Plain{}}
 
 	f.mu.Lock()
@@ -261,19 +263,23 @@ func TestSplitEnvelopes(t *testing.T) {
 	}
 	for i, want := range tasks {
 		e := out[i]
-		if e.batch || len(e.tasks) != 1 || e.task().ID != want.ID {
+		if len(e.tasks) != 1 || e.tasks[0].ID != want.ID {
 			t.Fatalf("split envelope %d = %+v", i, e)
 		}
 		plain, err := e.codec.Decode(e.wire)
 		if err != nil {
 			t.Fatalf("split envelope %d does not decode with the carried codec: %v", i, err)
 		}
-		if !bytes.Equal(plain, want.Payload) {
-			t.Fatalf("split envelope %d payload %q, want %q", i, plain, want.Payload)
+		_, entries, err := ParseBatchBlob(nil, plain)
+		if err != nil || len(entries) != 1 || entries[0].ID != want.ID {
+			t.Fatalf("split envelope %d blob: %+v, %v", i, entries, err)
+		}
+		if !bytes.Equal(entries[0].Payload, want.Payload) {
+			t.Fatalf("split envelope %d payload %q, want %q", i, entries[0].Payload, want.Payload)
 		}
 	}
 	if out[3] != single {
-		t.Fatal("single envelope must pass through the split untouched")
+		t.Fatal("one-task envelope must pass through the split untouched")
 	}
 }
 

@@ -10,29 +10,29 @@ import (
 
 // Executor abstracts where a worker's compute step runs — the transport
 // seam of the cross-process dispatch plane. A nil Executor on a worker
-// means loopback: the task is decoded, slept and transformed in-process,
-// exactly as before the plane existed. A non-nil Executor ships the sealed
-// envelope to another process (internal/wire implements it over a framed
-// TCP connection) and blocks for the sealed result, so the bytes that
-// cross the machine boundary are precisely the bytes the binding codec
-// produced — the AES-GCM frames the security concern is about.
+// means loopback: the envelope is decoded, slept and transformed
+// in-process. A non-nil Executor ships the sealed envelope to another
+// process (internal/wire implements it over a framed TCP connection) and
+// blocks for the sealed result, so the bytes that cross the machine
+// boundary are precisely the bytes the binding codec produced — the
+// AES-GCM frames the security concern is about.
 //
-// Failure contract: any Exec error (connection dropped, remote rejected
-// the frame, result did not authenticate) is reported by the farm as a
-// worker crash, which strands the worker's queue for the fault-tolerance
-// manager to recover — a broken link and a dead machine are the same
-// fault.
+// The farm ships every envelope, one task or many, through ExecBatch.
+// Exec is the one-task form for callers that hold a single sealed payload
+// rather than a batch blob; no farm path calls it.
+//
+// Failure contract: any ExecBatch error (connection dropped, remote
+// rejected the frame, result did not authenticate) is reported by the
+// farm as a worker crash, which strands the worker's queue for the
+// fault-tolerance manager to recover — a broken link and a dead machine
+// are the same fault.
 type Executor interface {
-	// Exec runs one envelope remotely: sealed is the payload encoded with
-	// the binding codec (passed alongside so the transport can recover its
-	// key epoch), work the task's nominal service time, tc the propagated
-	// trace context (the zero value for unsampled tasks). It returns the
-	// result payload, still sealed with the same binding codec, plus the
-	// remote-measured execution nanoseconds — reported in the remote clock
-	// and joined with the local round trip by interval arithmetic, never by
-	// cross-machine timestamp comparison. The returned result may alias
-	// the session's reusable read buffer: it is valid only until the next
-	// call on this executor, so the caller opens (or copies) it first.
+	BatchExecutor
+	// Exec runs one task remotely: sealed is the payload encoded with the
+	// binding codec, work the task's nominal service time, tc the
+	// propagated trace context (the zero value for unsampled tasks). It
+	// returns the result payload sealed with the same codec plus the
+	// remote-measured execution nanoseconds, valid as for ExecBatch.
 	Exec(tc telemetry.TraceContext, taskID uint64, work time.Duration, codec security.Codec, sealed []byte) (result []byte, execNanos int64, err error)
 	// Rekey makes c the binding codec on the remote end before any task
 	// sealed with it can arrive (the two-phase rekey across the wire: the
@@ -42,6 +42,21 @@ type Executor interface {
 	Rekey(c security.Codec) (security.Codec, error)
 	// Close releases the session. It must be idempotent.
 	Close() error
+}
+
+// BatchExecutor is the envelope round trip of an Executor: one sealed
+// batch blob out in one frame, the sealed result blob back.
+type BatchExecutor interface {
+	// ExecBatch runs one sealed batch blob remotely. sealed is the blob
+	// encoded with the binding codec (passed alongside so the transport can
+	// recover its key epoch); the result blob comes back sealed with the
+	// same codec, along with the remote-measured execution nanoseconds for
+	// the whole blob — reported in the remote clock and joined with the
+	// local round trip by interval arithmetic, never by cross-machine
+	// timestamp comparison. The result may alias the session's reusable
+	// read buffer: it is valid only until the next call on the executor,
+	// so the caller opens (or copies) it first.
+	ExecBatch(codec security.Codec, sealed []byte) (result []byte, execNanos int64, err error)
 }
 
 // ExecutorFactory supplies per-node executors at recruitment time. It
@@ -95,8 +110,8 @@ func (f *Farm) decideTarget(avail []*worker, rr *int) *worker {
 }
 
 // decideTargetIndex is decideTarget returning the index into avail (-1 for
-// none); the batched dispatcher needs the index to address its per-worker
-// pending buffer, which is parallel to the routeTable snapshot.
+// none); the dispatcher needs the index to address its per-worker pending
+// buffer, which is parallel to the routeTable snapshot.
 func (f *Farm) decideTargetIndex(avail []*worker, rr *int) int {
 	if len(avail) == 0 {
 		return -1

@@ -109,13 +109,13 @@ type FarmConfig struct {
 	// may route tasks to (labels, trust domain, the `local` escape hatch).
 	// The zero value admits every worker.
 	Selector Selector
-	// DispatchBatch, when > 1, coalesces up to this many tasks per worker
-	// into one sealed multi-task envelope: one codec seal, one queue push
-	// and one result-channel hop per batch instead of per task. Target
-	// selection still runs per task through the unified decision path, so
-	// routing semantics are identical to unbatched dispatch; only the
-	// envelope granularity changes. 0 or 1 disables batching (the default,
-	// byte-identical to the pre-batching farm).
+	// DispatchBatch is the most tasks the dispatcher coalesces per worker
+	// into one sealed envelope: one codec seal, one queue push and one
+	// result-channel hop per envelope instead of per task. Target selection
+	// still runs per task through the unified decision path, so routing
+	// semantics do not depend on it; only the envelope granularity changes.
+	// 0 or 1 (the default) sends every task as a one-task envelope through
+	// the same path, with no flush deadline.
 	DispatchBatch int
 	// BatchFlush bounds how long a partially filled batch may wait for
 	// more input before it is sealed and pushed anyway (wall-clock; default
@@ -139,26 +139,22 @@ const maxDispatchBatch = 1024
 // defaultBatchFlush is the flush-on-idle deadline when none is configured.
 const defaultBatchFlush = 500 * time.Microsecond
 
-// envelope is one message on a worker binding: one task — or, with
-// DispatchBatch, up to DispatchBatch tasks — plus the sealed form produced
-// by the codec the binding had at dispatch time. Envelopes are pooled: the
-// hot path recycles them (and their wire buffers) through the size-classed
-// envelope pools, so steady-state dispatch allocates nothing. Ownership is
-// linear — an envelope is held by exactly one of: a queue, a worker's
-// compute step, the results channel, or the collector; whoever drops it
-// calls putEnv.
+// envelope is one message on a worker binding: up to DispatchBatch tasks
+// plus their sealed blob, produced by the codec the binding had at dispatch
+// time. Envelopes are pooled: the hot path recycles them (and their wire
+// buffers) through the size-classed envelope pools, so steady-state
+// dispatch allocates nothing. Ownership is linear — an envelope is held by
+// exactly one of: a queue, a worker's compute step, the results channel,
+// or the collector; whoever drops it calls putEnv.
 type envelope struct {
-	// tasks are the member tasks, in wire order; length 1 unless batch.
-	// Member payloads stay plaintext here (compute replaces them only
-	// after a decode), so actuators can split a batch back into
-	// re-encoded single envelopes without touching the sealed bytes.
+	// tasks are the member tasks, in wire order. Member payloads stay
+	// plaintext here (compute replaces them only after a decode), so
+	// actuators can split a batch back into re-sealed one-task envelopes
+	// without touching the sealed bytes.
 	tasks []*Task
-	// wire is the sealed form: the bare payload for a single envelope, the
-	// multi-task batch blob for a batch one.
+	// wire is the sealed envelope blob (see batch.go for its layout).
 	wire  []byte
 	codec security.Codec
-	// batch marks wire as a batch blob rather than a bare payload.
-	batch bool
 	// out collects the completed result tasks of one compute step; the
 	// collector consumes it, so one envelope is one channel hop however
 	// many tasks it carried.
@@ -169,9 +165,6 @@ type envelope struct {
 	// (or a fault path) publishes and detaches it.
 	span *telemetry.Span
 }
-
-// task returns the sole member of a single (non-batch) envelope.
-func (e *envelope) task() *Task { return e.tasks[0] }
 
 // Envelope size classes. Each class has its own pool, and an envelope
 // travels with its sealed buffer, so a queued or pooled envelope holds a
@@ -238,7 +231,6 @@ func putEnv(e *envelope) {
 	e.out = e.out[:0]
 	e.wire = ReuseBuffer(e.wire)
 	e.codec = nil
-	e.batch = false
 	e.span = nil
 	envPools[envClass(cap(e.wire))].Put(e)
 }
@@ -330,11 +322,9 @@ type Farm struct {
 	everHadWorker bool
 	recruitFailed bool
 
-	// rrIndex and packBuf belong to the dispatcher goroutine alone; packBuf
-	// is the reusable batch-blob scratch, so steady-state batched dispatch
-	// allocates nothing.
-	rrIndex int
-	packBuf []byte
+	// sealBuf is the blob scratch of the seals made under mu (reroutes,
+	// park flushes, batch splits); the dispatcher has its own.
+	sealBuf []byte
 
 	results chan *envelope
 	wgOut   sync.WaitGroup // collector completion
@@ -391,7 +381,10 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	if cfg.DispatchBatch > maxDispatchBatch {
 		return nil, fmt.Errorf("skel: DispatchBatch %d exceeds the maximum %d", cfg.DispatchBatch, maxDispatchBatch)
 	}
-	if cfg.DispatchBatch > 1 && cfg.BatchFlush <= 0 {
+	if cfg.DispatchBatch < 1 {
+		cfg.DispatchBatch = 1
+	}
+	if cfg.BatchFlush <= 0 {
 		cfg.BatchFlush = defaultBatchFlush
 	}
 	env := cfg.Env
@@ -480,62 +473,9 @@ func (f *Farm) Run(_ context.Context, in <-chan *Task, out chan<- *Task) {
 			close(out)
 		}
 	}()
-	// Dispatcher.
-	if f.cfg.DispatchBatch > 1 {
-		f.runBatchedDispatcher(in)
-	} else {
-		for t := range in {
-			f.arrival.Mark()
-			f.dispatch(t)
-		}
-	}
+	f.newDispatcher().run(in)
 	f.endInput()
 	f.wgOut.Wait()
-}
-
-// dispatch routes one task through the unified decision path, considering
-// only live, selector-admitted workers. Steady-state dispatch takes no lock
-// at all: the admitted set comes from the atomically-swapped routeTable,
-// and target selection, payload encoding and the queue push all run on the
-// snapshot, so the sensors (Stats, Workers) and the actuators never queue
-// behind encryption — and the dispatcher never queues behind them.
-func (f *Farm) dispatch(t *Task) {
-	if ins := f.cfg.Instruments; ins != nil {
-		start := time.Now()
-		defer func() { ins.Dispatch.ObserveDuration(time.Since(start)) }()
-	}
-	avail := f.routes.Load().workers
-	if f.cfg.Dispatch == Broadcast {
-		if len(avail) == 0 {
-			f.sendRouted(t)
-			return
-		}
-		for _, w := range avail {
-			// Clones must not be re-routed on a failed push: every other
-			// admitted worker already holds its own clone, so re-routing the
-			// orphan would deliver a duplicate to one of them.
-			f.send(w, t.Clone(), false, nil)
-		}
-		return
-	}
-	// The sampling decision precedes every clock read: an unsampled task —
-	// the overwhelming majority at production rates — pays one branch and
-	// one integer hash here, nothing else.
-	var sp *telemetry.Span
-	if tr := f.cfg.Tracer; tr != nil && tr.Sample(t.ID) {
-		sp = tr.Start(t.ID)
-		sp.MarkSince(telemetry.StageEnqueue, t.Created)
-	}
-	target := f.decideTarget(avail, &f.rrIndex)
-	if sp != nil {
-		sp.Mark(telemetry.StageRoute)
-	}
-	if target == nil {
-		f.faultSpan(sp, "parked")
-		f.sendRouted(t)
-		return
-	}
-	f.send(target, t, true, sp)
 }
 
 // faultSpan publishes a partial span annotated with the fault that cut its
@@ -552,9 +492,9 @@ func (f *Farm) faultSpan(sp *telemetry.Span, kind string) {
 }
 
 // collectSpan finishes a collected envelope's span: the result stage ends
-// at the collector, batch spans fan out one member span per co-sampled
-// member task, and the envelope span publishes into the ring and the stage
-// histograms.
+// at the collector, one member span fans out per co-sampled member task
+// other than the root, and the envelope span publishes into the ring and
+// the stage histograms.
 func (f *Farm) collectSpan(env *envelope) {
 	sp := env.span
 	if sp == nil {
@@ -563,88 +503,17 @@ func (f *Farm) collectSpan(env *envelope) {
 	env.span = nil
 	sp.Mark(telemetry.StageResult)
 	tr := f.cfg.Tracer
-	if env.batch {
-		for _, t := range env.tasks {
-			if t.ID != sp.TaskID && tr.Sampler().Decide(t.ID) {
-				tr.PublishMember(sp, t.ID)
-			}
+	for _, t := range env.tasks {
+		if t.ID != sp.TaskID && tr.Sampler().Decide(t.ID) {
+			tr.PublishMember(sp, t.ID)
 		}
 	}
 	tr.Publish(sp)
 }
 
-// send seals the task for the binding's current codec, audits it and
-// pushes it onto the worker queue — all without holding f.mu. The codec is
-// snapshotted per send; a concurrent SetCodec therefore takes effect on the
-// next send, and an envelope always carries the codec it was encoded with.
-// If the worker disappeared between selection and push (removed, migrated
-// or crashed-and-recovered — its queue refuses the push either way), the
-// task is re-routed through the decision path and re-encoded there: the
-// stale envelope's codec belongs to the vanished worker's binding (for a
-// remote worker, to its dead session's key epochs) and must not follow the
-// task to a different one. reroute=false (Broadcast clones) drops the task
-// on a failed push instead — its siblings were already delivered.
-func (f *Farm) send(w *worker, t *Task, reroute bool, sp *telemetry.Span) {
-	env := f.seal(w, t, sp)
-	if env == nil {
-		return
-	}
-	if !w.queue.push(env) {
-		env.span = nil
-		f.faultSpan(sp, "reroute")
-		putEnv(env)
-		if reroute {
-			// t still carries its original payload (compute replaces it only
-			// after a pop), so it can be re-routed and re-encoded.
-			f.sendRouted(t)
-		}
-	}
-}
-
-// seal encodes one task for w's binding into an envelope from the pool of
-// its sealed size and records the send with the Auditor. It returns nil
-// after reporting an encode error.
-func (f *Farm) seal(w *worker, t *Task, sp *telemetry.Span) *envelope {
-	codec := w.getCodec()
-	var sealStart time.Time
-	ins := f.cfg.Instruments
-	if ins != nil {
-		sealStart = time.Now()
-	}
-	env := getEnv(len(t.Payload) + security.Overhead(codec))
-	wire, err := security.AppendEncode(codec, env.wire[:0], t.Payload)
-	if ins != nil {
-		ins.Seal.ObserveDuration(time.Since(sealStart))
-	}
-	if err != nil {
-		putEnv(env)
-		f.faultSpan(sp, "encode")
-		f.reportErr(fmt.Errorf("skel: farm %s encode for %s: %w", f.cfg.Name, w.id, err))
-		return nil
-	}
-	if sp != nil {
-		sp.Mark(telemetry.StageSeal)
-		sp.Node = w.id
-		sp.Remote = w.exec != nil
-	}
-	if f.cfg.Auditor != nil {
-		must := false
-		if f.cfg.Policy != nil {
-			must = f.cfg.Policy.RequireSecure(f.cfg.DispatchNode, w.node)
-		}
-		f.cfg.Auditor.RecordSend(w.id, must, codec.Secure())
-	}
-	env.tasks = append(env.tasks[:0], t)
-	env.wire = wire
-	env.codec = codec
-	env.span = sp
-	return env
-}
-
 // sendRouted routes one already-accepted task through the unified decision
-// path from outside the dispatcher goroutine: the reroute slow path of
-// send, a late envelope of a recovered worker, and the empty-pool branch
-// of dispatch. See routeLocked.
+// path under f.mu: the dispatcher's branch for a snapshot with no
+// admissible worker. See routeLocked.
 func (f *Farm) sendRouted(t *Task) {
 	f.mu.Lock()
 	f.routeLocked(t)
@@ -696,8 +565,9 @@ func (f *Farm) routeLocked(t *Task) {
 		f.reportErr(fmt.Errorf("skel: farm %s dropped task %d: no admissible worker", f.cfg.Name, t.ID))
 		return
 	}
-	// seal re-encodes with the target's own binding codec.
-	if env := f.seal(target, t, nil); env != nil {
+	// The task is re-sealed with the target's own binding codec.
+	one := [1]*Task{t}
+	if env := f.sealEnvelope(target, target.getCodec(), one[:], nil, &f.sealBuf); env != nil {
 		target.queue.restore(env)
 	}
 }
@@ -824,8 +694,8 @@ func (f *Farm) runWorker(w *worker) {
 	}
 }
 
-// computeLocal decodes and computes one envelope — every member task of a
-// batch, in wire order. A panic in the worker function — or one injected by
+// computeLocal decodes and computes one envelope — every member task, in
+// wire order. A panic in the worker function — or one injected by
 // the fault hook — is contained here: it is reported as crashed instead of
 // unwinding the process, and any partial results are discarded (env.out is
 // cleared), so a recomputation after recovery re-derives every member's
@@ -841,7 +711,7 @@ func (f *Farm) computeLocal(w *worker, env *envelope) (crashed bool) {
 			}
 			env.out = env.out[:0]
 			f.reportErr(fmt.Errorf("skel: farm %s worker %s panicked on task %d: %v",
-				f.cfg.Name, w.id, env.task().ID, r))
+				f.cfg.Name, w.id, env.tasks[0].ID, r))
 		}
 	}()
 	// The decode pays the binding codec's honest CPU cost and authenticates
@@ -870,15 +740,8 @@ func (f *Farm) computeLocal(w *worker, env *envelope) (crashed bool) {
 		if f.cfg.WorkOverride > 0 {
 			work = f.cfg.WorkOverride
 		}
-		if fp := f.workerFault.Load(); fp != nil {
-			if fault := (*fp)(w.id, t); fault.Stall > 0 || fault.Panic {
-				if fault.Stall > 0 {
-					f.env.SleepScaled(fault.Stall)
-				}
-				if fault.Panic {
-					panic(fmt.Sprintf("injected worker fault (task %d)", t.ID))
-				}
-			}
+		if f.memberFault(w, t) {
+			panic(fmt.Sprintf("injected worker fault (task %d)", t.ID))
 		}
 		f.env.SleepScaled(w.node.ServiceTime(work))
 		if nw := f.cfg.Network; nw != nil && f.cfg.HomeDomain != "" {
@@ -896,160 +759,77 @@ func (f *Farm) computeLocal(w *worker, env *envelope) (crashed bool) {
 	return false
 }
 
+// memberFault consults the chaos plane's per-task fault hook before one
+// member's compute step: it sleeps an injected stall and reports whether
+// a panic was injected. Each compute body lands the panic its own way.
+func (f *Farm) memberFault(w *worker, t *Task) (panics bool) {
+	fp := f.workerFault.Load()
+	if fp == nil {
+		return false
+	}
+	fault := (*fp)(w.id, t)
+	if fault.Stall > 0 {
+		f.env.SleepScaled(fault.Stall)
+	}
+	return fault.Panic
+}
+
 // computeRemote ships one envelope across the worker's transport session
-// and blocks for the sealed result. The bytes handed to the session are
-// exactly the bytes the binding codec produced in send — the transport
-// never sees the plaintext. Any transport error (connection dropped,
-// remote rejected the frame, result failed to authenticate) is mapped onto
-// the worker-crash contract: the envelope strands on the worker's failed
-// queue for the fault-tolerance manager to recover, because a broken link
-// and a dead machine are the same fault. Unlike the loopback path there is
-// no modelled link-latency charge: a remote worker pays the real latency
-// of its framed connection.
+// as one exec-batch round trip and blocks for the sealed result blob. The
+// bytes handed to the session are exactly the bytes the binding codec
+// produced at seal time — the transport never sees the plaintext — and the
+// span's trace context rides inside them, so the workerd-side exec span
+// shares this trace id. Any transport error (connection dropped, remote
+// rejected the frame, result failed to authenticate) is mapped onto the
+// worker-crash contract: the envelope strands on the worker's failed queue
+// for the fault-tolerance manager to recover, because a broken link and a
+// dead machine are the same fault. Unlike the loopback path there is no
+// modelled link-latency charge: a remote worker pays the real latency of
+// its framed connection.
 //
-// Batch envelopes ship as one frame through BatchExecutor when the session
-// supports it; member payloads are only overwritten once the whole result
-// blob has authenticated and validated, so a crash mid-batch leaves every
+// Member payloads are only overwritten once the whole result blob has
+// authenticated and validated, so a crash mid-envelope leaves every
 // member's plaintext pristine for recovery — exactly-once holds per member.
 func (f *Farm) computeRemote(w *worker, env *envelope) (crashed bool) {
 	env.out = env.out[:0]
 	for _, t := range env.tasks {
-		if fp := f.workerFault.Load(); fp != nil {
-			if fault := (*fp)(w.id, t); fault.Stall > 0 || fault.Panic {
-				if fault.Stall > 0 {
-					f.env.SleepScaled(fault.Stall)
-				}
-				if fault.Panic {
-					// A remote worker cannot contain a panic in-process; the
-					// injected fault lands as the crash it models.
-					f.reportErr(fmt.Errorf("skel: farm %s worker %s injected fault on task %d",
-						f.cfg.Name, w.id, t.ID))
-					return true
-				}
-			}
+		if f.memberFault(w, t) {
+			// A remote worker cannot contain a panic in-process; the
+			// injected fault lands as the crash it models.
+			f.reportErr(fmt.Errorf("skel: farm %s worker %s injected fault on task %d",
+				f.cfg.Name, w.id, t.ID))
+			return true
 		}
 	}
-	// The span's trace context rides the exec frame (single) or the sealed
-	// batch blob (batch, already embedded at seal time), so the workerd-side
-	// exec span shares this trace id. A link fault publishes the partial span
-	// here and detaches it: the recovered envelope retries untraced.
+	// A fault publishes the partial span and detaches it: the recovered
+	// envelope retries untraced.
 	sp := env.span
-	var tc telemetry.TraceContext
-	if sp != nil {
-		tc = sp.Context()
-	}
-	detachFault := func(kind string) {
+	fail := func(kind string, err error) bool {
 		env.span = nil
 		f.faultSpan(sp, kind)
-	}
-	if !env.batch {
-		t := env.task()
-		work := t.Work
-		if f.cfg.WorkOverride > 0 {
-			work = f.cfg.WorkOverride
-		}
-		sealedRes, execNanos, err := w.exec.Exec(tc, t.ID, work, env.codec, env.wire)
-		if err != nil {
-			detachFault("link")
-			f.reportErr(fmt.Errorf("skel: farm %s worker %s remote exec task %d: %w",
-				f.cfg.Name, w.id, t.ID, err))
-			return true
-		}
-		if sp != nil {
-			// Interval arithmetic across the clock boundary: the local round
-			// trip splits into the remote-reported exec share and the wire
-			// remainder — timestamps never cross machines.
-			sp.MarkSplit(telemetry.StageWire, telemetry.StageExec, execNanos)
-		}
-		payload, err := env.codec.Decode(sealedRes)
-		if err != nil {
-			// A result that does not authenticate is a link fault, not a task
-			// fault: crash the worker so the envelope is recovered, never
-			// emitted corrupt.
-			detachFault("auth")
-			f.reportErr(fmt.Errorf("skel: farm %s worker %s remote result: %w",
-				f.cfg.Name, w.id, err))
-			return true
-		}
-		if sp != nil {
-			sp.Mark(telemetry.StageReseal)
-		}
-		t.Payload = payload
-		env.out = append(env.out, t)
-		return false
-	}
-	be, ok := w.exec.(BatchExecutor)
-	if !ok {
-		// A transport without a batch frame ships members one by one.
-		// Result payloads are staged and assigned only after every member
-		// succeeded: assigning as we go would leave already-transformed
-		// payloads behind on a mid-batch link fault, and the recovery
-		// recompute would then apply the worker function twice.
-		staged := make([][]byte, len(env.tasks))
-		for i, t := range env.tasks {
-			work := t.Work
-			if f.cfg.WorkOverride > 0 {
-				work = f.cfg.WorkOverride
-			}
-			wire, err := env.codec.Encode(t.Payload)
-			if err != nil {
-				detachFault("encode")
-				f.reportErr(fmt.Errorf("skel: farm %s worker %s re-seal task %d: %w",
-					f.cfg.Name, w.id, t.ID, err))
-				return true
-			}
-			sealedRes, execNanos, err := w.exec.Exec(tc, t.ID, work, env.codec, wire)
-			if err != nil {
-				detachFault("link")
-				f.reportErr(fmt.Errorf("skel: farm %s worker %s remote exec task %d: %w",
-					f.cfg.Name, w.id, t.ID, err))
-				return true
-			}
-			if sp != nil {
-				// Per-member intervals accumulate into the batch span's wire
-				// and exec stages (Mark and MarkSplit add, never overwrite).
-				sp.MarkSplit(telemetry.StageWire, telemetry.StageExec, execNanos)
-			}
-			payload, err := env.codec.Decode(sealedRes)
-			if err != nil {
-				detachFault("auth")
-				f.reportErr(fmt.Errorf("skel: farm %s worker %s remote result: %w",
-					f.cfg.Name, w.id, err))
-				return true
-			}
-			if sp != nil {
-				sp.Mark(telemetry.StageReseal)
-			}
-			staged[i] = payload
-		}
-		for i, t := range env.tasks {
-			t.Payload = staged[i]
-			env.out = append(env.out, t)
-		}
-		return false
-	}
-	sealedRes, execNanos, err := be.ExecBatch(env.codec, env.wire)
-	if err != nil {
-		detachFault("link")
-		f.reportErr(fmt.Errorf("skel: farm %s worker %s remote exec batch of %d: %w",
-			f.cfg.Name, w.id, len(env.tasks), err))
+		f.reportErr(fmt.Errorf("skel: farm %s worker %s remote exec of task %d (%d in envelope): %w",
+			f.cfg.Name, w.id, env.tasks[0].ID, len(env.tasks), err))
 		return true
+	}
+	sealedRes, execNanos, err := w.exec.ExecBatch(env.codec, env.wire)
+	if err != nil {
+		return fail("link", err)
 	}
 	if sp != nil {
+		// Interval arithmetic across the clock boundary: the local round
+		// trip splits into the remote-reported exec share and the wire
+		// remainder — timestamps never cross machines.
 		sp.MarkSplit(telemetry.StageWire, telemetry.StageExec, execNanos)
 	}
+	// A result that does not authenticate or validate is a link fault, not
+	// a task fault: crash the worker so the envelope is recovered, never
+	// emitted corrupt.
 	blob, err := env.codec.Decode(sealedRes)
 	if err != nil {
-		detachFault("auth")
-		f.reportErr(fmt.Errorf("skel: farm %s worker %s remote batch result: %w",
-			f.cfg.Name, w.id, err))
-		return true
+		return fail("auth", err)
 	}
 	if err := unpackResultInto(blob, env.tasks); err != nil {
-		detachFault("auth")
-		f.reportErr(fmt.Errorf("skel: farm %s worker %s remote batch result: %w",
-			f.cfg.Name, w.id, err))
-		return true
+		return fail("auth", err)
 	}
 	if sp != nil {
 		sp.Mark(telemetry.StageReseal)
@@ -1082,15 +862,16 @@ func (f *Farm) containPanic(w *worker, env *envelope) {
 	}
 	if f.inPoolLocked(w) {
 		// RecoverWorker drains under f.mu, so a restore landing here is
-		// guaranteed a future drain. A batch envelope is restored intact;
-		// RecoverWorker splits it back into tasks before redistribution.
+		// guaranteed a future drain. The envelope is restored intact;
+		// RecoverWorker splits a batch back into tasks before redistribution.
 		w.queue.restore(env)
 		f.mu.Unlock()
 		f.hooks.fire()
 		return
 	}
 	// Late envelope: every member re-enters the unified decision path, one
-	// task at a time (the batch's sealed form belonged to the dead binding).
+	// task at a time (the envelope's sealed form belonged to the dead
+	// binding).
 	for _, t := range env.tasks {
 		f.routeLocked(t)
 	}
@@ -1296,17 +1077,17 @@ func (f *Farm) RemoveWorker() (string, error) {
 	return w.id, nil
 }
 
-// splitEnvelopesLocked flattens batch envelopes back into single-task ones
-// before redistribution: a batch's sealed blob was addressed to one binding,
-// but redistribution scatters its members over many. Each member is
-// re-encoded with the codec the batch was sealed with (payloads are still
-// plaintext on the tasks), so the cross-binding story is identical to a
-// redistributed single envelope. Single envelopes pass through untouched.
+// splitEnvelopesLocked flattens batch envelopes into one-task ones before
+// redistribution: a batch's sealed blob was addressed to one binding, but
+// redistribution scatters its members over many. Each member is re-sealed
+// with the codec the batch was sealed with (payloads are still plaintext
+// on the tasks), so every redistributed envelope carries one task and the
+// codec it was sealed under. One-task envelopes pass through untouched.
 // Callers hold f.mu.
 func (f *Farm) splitEnvelopesLocked(envs []*envelope) []*envelope {
 	split := false
 	for _, env := range envs {
-		if env.batch {
+		if len(env.tasks) > 1 {
 			split = true
 			break
 		}
@@ -1316,22 +1097,14 @@ func (f *Farm) splitEnvelopesLocked(envs []*envelope) []*envelope {
 	}
 	out := make([]*envelope, 0, len(envs))
 	for _, env := range envs {
-		if !env.batch {
+		if len(env.tasks) <= 1 {
 			out = append(out, env)
 			continue
 		}
-		for _, t := range env.tasks {
-			single := getEnv(len(t.Payload) + security.Overhead(env.codec))
-			wire, err := security.AppendEncode(env.codec, single.wire[:0], t.Payload)
-			if err != nil {
-				putEnv(single)
-				f.reportErr(fmt.Errorf("skel: farm %s split batch re-seal task %d: %w", f.cfg.Name, t.ID, err))
-				continue
+		for i := range env.tasks {
+			if one := f.sealEnvelope(nil, env.codec, env.tasks[i:i+1], nil, &f.sealBuf); one != nil {
+				out = append(out, one)
 			}
-			single.tasks = append(single.tasks[:0], t)
-			single.wire = wire
-			single.codec = env.codec
-			out = append(out, single)
 		}
 		// A split batch's span cannot follow its members (they scatter over
 		// many bindings); it publishes as a partial span annotated with the
@@ -1527,10 +1300,10 @@ func (f *Farm) MigrateWorker(workerID string, req grid.Request) (string, error) 
 	}
 	fresh := f.newWorkerLocked(node, codec)
 	fresh.exec = exec
-	// Batch envelopes split on migration too: their sealed blobs belong to
-	// the old session's binding, and the single-envelope path already has
-	// the cross-binding machinery (loopback decodes with the carried codec,
-	// remote resolves foreign codecs by resealing).
+	// Batch envelopes split on migration too, so every moved envelope
+	// carries one task under the codec it was sealed with; the compute
+	// bodies handle that cross-binding case (loopback decodes with the
+	// carried codec, remote resolves a foreign codec by resealing).
 	items := f.splitEnvelopesLocked(old.queue.drain())
 	old.queue.close() // the old worker finishes its current task and exits
 	fresh.queue.restore(items...)

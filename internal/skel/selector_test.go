@@ -10,14 +10,27 @@ import (
 	"repro/internal/telemetry"
 )
 
-// countingExec is a loopback stand-in for a remote session: it executes
-// nothing but counts how many envelopes were routed across the transport
-// seam.
+// countingExec is a loopback stand-in for a remote session: it returns
+// every member payload unchanged and counts how many envelopes were routed
+// across the transport seam.
 type countingExec struct{ execs *atomic.Int64 }
 
-func (c countingExec) Exec(_ telemetry.TraceContext, _ uint64, _ time.Duration, _ security.Codec, sealed []byte) ([]byte, int64, error) {
+func (c countingExec) ExecBatch(codec security.Codec, sealed []byte) ([]byte, int64, error) {
 	c.execs.Add(1)
-	return sealed, 0, nil
+	plain, err := codec.Decode(sealed)
+	if err != nil {
+		return nil, 0, err
+	}
+	_, entries, err := ParseBatchBlob(nil, plain)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := codec.Encode(AppendBatchResult(nil, entries))
+	return res, 0, err
+}
+
+func (c countingExec) Exec(tc telemetry.TraceContext, id uint64, work time.Duration, codec security.Codec, sealed []byte) ([]byte, int64, error) {
+	return ExecOne(c, tc, id, work, codec, sealed)
 }
 func (c countingExec) Rekey(codec security.Codec) (security.Codec, error) { return codec, nil }
 func (c countingExec) Close() error                                       { return nil }

@@ -666,10 +666,9 @@ func TestEnvelopeBufferFollowsPayloadClass(t *testing.T) {
 	w := f.newWorkerLocked(nil, security.MustAESGCM(security.NewRandomKey(), nil, 0))
 	f.mu.Unlock()
 	roundTrip := func(n int) int {
-		f.send(w, &Task{ID: 1, Payload: make([]byte, n)}, false, nil)
-		env, ok := w.queue.pop()
-		if !ok {
-			t.Fatal("sent envelope was not queued")
+		env := f.sealEnvelope(w, w.getCodec(), []*Task{{ID: 1, Payload: make([]byte, n)}}, nil, &f.sealBuf)
+		if env == nil {
+			t.Fatal("seal failed")
 		}
 		c := cap(env.wire)
 		putEnv(env)

@@ -56,8 +56,8 @@ var StageNames = [NumStages]string{
 }
 
 // TraceContext is the propagated trace identity of one sampled envelope:
-// it rides inside the 0x03 exec frame (single tasks) and inside the sealed
-// batch blob (batch envelopes), so the workerd-side exec span shares the
+// it rides inside the envelope's sealed blob, once per envelope however
+// many tasks it carries, so the workerd-side exec span shares the
 // coordinator's trace id. The zero value means "not sampled" and costs the
 // wire 17 bytes of zeros.
 type TraceContext struct {

@@ -103,9 +103,9 @@ type Stats struct {
 // StatsSnapshot is a point-in-time copy of the counters.
 type StatsSnapshot struct {
 	Dials     uint64 // sessions successfully established
-	Execs     uint64 // exec round trips: one per exec or exec-batch frame, however many tasks it carried
+	Execs     uint64 // envelope round trips: one per exec-batch frame, however many tasks it carried
 	Rekeys    uint64 // binding codecs installed across the wire
-	FramesOut uint64 // frames written (exec, rekey and control)
+	FramesOut uint64 // frames written (exec-batch, rekey and control)
 	Drops     uint64 // sessions severed by injected link drops
 }
 

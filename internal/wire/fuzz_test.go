@@ -35,12 +35,8 @@ func boundedAlloc(t *testing.T, fn func()) {
 	}
 }
 
-// execBody and execBatchBody build whole exec and exec-batch frame bodies
-// the way Session.exec lays them out: fixed fields, then the sealed bytes.
-func execBody(epoch uint32, taskID uint64, workNanos int64, tc telemetry.TraceContext, sealed []byte) []byte {
-	return append(appendExecHeader(nil, epoch, taskID, workNanos, tc), sealed...)
-}
-
+// execBatchBody builds a whole exec-batch frame body the way
+// Session.ExecBatch lays it out: fixed fields, then the sealed bytes.
 func execBatchBody(epoch uint32, batchID uint64, sealed []byte) []byte {
 	return append(appendExecBatchHeader(nil, epoch, batchID), sealed...)
 }
@@ -52,10 +48,10 @@ func frameBytes(typ byte, body []byte) []byte {
 }
 
 func FuzzReadFrame(f *testing.F) {
-	f.Add(frameBytes(frameExec, []byte("payload")))
+	f.Add(frameBytes(0x03, []byte("payload"))) // the retired exec frame
 	f.Add(frameBytes(frameControl, nil))
-	f.Add([]byte{0, 0, 0, 0, frameExec})                  // zero length
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, frameExec})      // beyond maxFrame
+	f.Add([]byte{0, 0, 0, 0, 0x03})                       // zero length
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x03})           // beyond maxFrame
 	f.Add([]byte{0x01, 0x00, 0x00, 0x00, frameExecBatch}) // exactly maxFrame, truncated body
 	f.Add([]byte{0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -73,34 +69,6 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if again := frameBytes(typ, body); !bytes.Equal(again, data[:len(again)]) {
 			t.Fatalf("re-encoded frame differs from the bytes read")
-		}
-	})
-}
-
-func FuzzParseExec(f *testing.F) {
-	tc := telemetry.TraceContext{TraceID: 7, SpanID: 9, Sampled: true}
-	f.Add(execBody(3, 42, 1000, tc, []byte("sealed")))
-	f.Add(execBody(0, 0, -1, telemetry.TraceContext{}, nil))
-	f.Add(make([]byte, 20+telemetry.TraceContextSize-1))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var (
-			epoch  uint32
-			id     uint64
-			work   int64
-			gotTC  telemetry.TraceContext
-			sealed []byte
-			err    error
-		)
-		boundedAlloc(t, func() { epoch, id, work, gotTC, sealed, err = parseExec(body) })
-		if err != nil {
-			return
-		}
-		// Only the flags byte may differ on re-encode (unused bits drop).
-		again := execBody(epoch, id, work, gotTC, sealed)
-		flags := 20 + telemetry.TraceContextSize - 1
-		if len(again) != len(body) || !bytes.Equal(again[:flags], body[:flags]) ||
-			!bytes.Equal(again[flags+1:], body[flags+1:]) {
-			t.Fatalf("exec body does not round-trip")
 		}
 	})
 }

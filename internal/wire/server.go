@@ -31,20 +31,21 @@ type ServerConfig struct {
 	Hello Hello
 	// Fn is the functional code applied to each task payload (nil: identity).
 	Fn WorkerFn
-	// TimeScale divides the modelled work carried by exec frames into real
+	// TimeScale divides the modelled work carried by envelopes into real
 	// sleep, exactly like skel.Env.TimeScale on the coordinator side. Zero
 	// or negative skips the sleep entirely (the unit-test setting).
 	TimeScale float64
 	// Log receives connection-level events. Nil discards them.
 	Log *log.Logger
 	// Instruments receives per-frame latency observations, exactly like a
-	// farm's: Dispatch covers the whole handling of one exec frame (decode,
-	// sleep, function, seal, reply), Seal isolates the result encode.
+	// farm's: Dispatch covers the whole handling of one exec-batch frame
+	// (decode, sleep, function, seal, reply), Seal isolates the result
+	// encode.
 	// Optional; nil costs one branch per frame.
 	Instruments *skel.FarmInstruments
 	// Tracer records workerd-side exec spans for sampled envelopes (the
-	// trace context arrives in the exec frame or batch blob; the sampling
-	// decision was the coordinator's). Optional.
+	// trace context arrives inside the envelope blob; the sampling decision
+	// was the coordinator's). Optional.
 	Tracer *telemetry.TaskTracer
 	// Stats, when set, answers observability scrapes (the stats op of a
 	// control frame) with a node report — typically a telemetry.NodeReport
@@ -282,9 +283,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			tc, parsed, err := skel.ParseBatchBlob(entries, plain)
 			if err != nil {
-				// Authenticated but malformed: refuse the whole batch (the
-				// member boundaries cannot be trusted), same failure class
-				// as a short exec frame.
+				// Authenticated but malformed: refuse the whole envelope
+				// (the member boundaries cannot be trusted).
 				s.rejected.Add(1)
 				s.reply(conn, batchID, "malformed batch blob")
 				continue
@@ -293,7 +293,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			var sp *telemetry.Span
 			if tc.Sampled && s.cfg.Tracer != nil && len(entries) > 0 {
 				sp = s.cfg.Tracer.StartRemote(tc, entries[0].ID)
-				sp.Batch = len(entries)
+				if len(entries) > 1 {
+					sp.Batch = len(entries)
+				}
 				sp.Node = s.cfg.Hello.Name
 				sp.Remote = true
 				sp.Mark(telemetry.StageReseal) // request decode + blob parse
@@ -319,64 +321,6 @@ func (s *Server) serveConn(conn net.Conn) {
 				continue
 			}
 			s.served.Add(uint64(len(entries)))
-			if ins := s.cfg.Instruments; ins != nil {
-				ins.Dispatch.ObserveDuration(time.Since(frameStart))
-			}
-			if !send(frame) {
-				return
-			}
-		case frameExec:
-			frameStart := time.Now()
-			epoch, taskID, workNanos, tc, sealed, err := parseExec(body)
-			if err != nil {
-				s.rejected.Add(1)
-				return
-			}
-			codec, ok := keyring[epoch]
-			if !ok {
-				s.rejected.Add(1)
-				s.reply(conn, taskID, fmt.Sprintf("unknown binding epoch %d", epoch))
-				continue
-			}
-			var sp *telemetry.Span
-			if tc.Sampled && s.cfg.Tracer != nil {
-				sp = s.cfg.Tracer.StartRemote(tc, taskID)
-				sp.Node = s.cfg.Hello.Name
-				sp.Remote = true
-			}
-			if plain, err = security.AppendDecode(codec, plain, sealed); err != nil {
-				// The envelope does not authenticate under its declared
-				// epoch: refuse it, never execute it. The error text names
-				// the failure only — payload bytes must not echo back.
-				s.rejected.Add(1)
-				if sp != nil {
-					sp.Fault = "auth"
-					s.cfg.Tracer.Publish(sp)
-				}
-				s.reply(conn, taskID, "payload did not authenticate")
-				continue
-			}
-			if sp != nil {
-				sp.Mark(telemetry.StageReseal) // request decode
-			}
-			execStart := time.Now()
-			if scale := s.cfg.TimeScale; scale > 0 && workNanos > 0 {
-				time.Sleep(time.Duration(float64(workNanos) / scale))
-			}
-			payload := plain
-			if s.cfg.Fn != nil {
-				payload = s.cfg.Fn(payload)
-			}
-			execNanos := int64(time.Since(execStart))
-			if sp != nil {
-				sp.Mark(telemetry.StageExec)
-			}
-			frame, err := s.sealResult(out, codec, taskID, execNanos, payload, sp)
-			if err != nil {
-				s.reply(conn, taskID, "result seal failed")
-				continue
-			}
-			s.served.Add(1)
 			if ins := s.cfg.Instruments; ins != nil {
 				ins.Dispatch.ObserveDuration(time.Since(frameStart))
 			}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrSessionClosed is returned by Exec and Rekey once the session's
+// ErrSessionClosed is returned by ExecBatch and Rekey once the session's
 // connection is gone — closed by the farm, cut by an injected link drop,
 // or broken by the peer.
 var ErrSessionClosed = errors.New("wire: session closed")
@@ -35,14 +35,14 @@ type Session struct {
 	epoch   uint32
 	binding security.Codec // codec of the current epoch, for foreign reseals
 	// out is the frame being written and in reads the replies, both
-	// reused from frame to frame under mu: a sealed result Exec returns
-	// aliases in's buffer until the next call on the session.
+	// reused from frame to frame under mu: a sealed result ExecBatch
+	// returns aliases in's buffer until the next call on the session.
 	out []byte
 	in  frameReader
 
-	// batchSeq correlates exec-batch frames with their result frames, the
-	// role the task id plays for single execs.
-	batchSeq atomic.Uint64
+	// batchSeq correlates exec-batch frames with their result frames;
+	// guarded by mu.
+	batchSeq uint64
 
 	closed atomic.Bool
 }
@@ -90,8 +90,8 @@ func (s *Session) Hello() Hello { return s.hello }
 // epochCodec is the binding codec the farm holds after a remote rekey: it
 // delegates Encode/Decode to the inner codec (so envelopes remain fully
 // usable in-process — restores onto loopback workers keep working) and
-// tags the session + epoch the key was installed under, which is how Exec
-// knows the sealed bytes can go out as-is.
+// tags the session + epoch the key was installed under, which is how
+// ExecBatch knows the sealed bytes can go out as-is.
 type epochCodec struct {
 	s     *Session
 	epoch uint32
@@ -120,7 +120,7 @@ func (e *epochCodec) AppendDecode(dst, wire []byte) ([]byte, error) {
 // crosses in clear — and returns the epoch-tagged wrapper the farm must
 // seal with from now on. The write is fire-and-forget: frames are
 // processed in order on the remote end, so the rekey is installed before
-// any later exec frame that uses its epoch. A codec that is already an
+// any later exec-batch frame that uses its epoch. A codec that is already an
 // epoch wrapper (e.g. a binding migrated from another session) is
 // unwrapped and re-shipped under a fresh epoch of this session.
 func (s *Session) Rekey(c security.Codec) (security.Codec, error) {
@@ -154,46 +154,21 @@ func (s *Session) Rekey(c security.Codec) (security.Codec, error) {
 	return &epochCodec{s: s, epoch: epoch, inner: c}, nil
 }
 
-// Exec implements skel.Executor: one task envelope out, one result frame
-// back. When codec is this session's current epoch wrapper the sealed
-// bytes go out verbatim — the transport never sees the plaintext. A
-// foreign codec (an envelope restored from another worker's queue by
-// rebalance, recovery or migration) is opened locally and re-sealed under
-// this session's own binding, so a moved task still crosses the wire under
-// a key its destination knows, at the same security level the farm
-// installed here.
-// The trace context rides in the exec frame; the workerd's reply reports
-// its own measured exec time, which the farm joins with its local round
-// trip by interval arithmetic to separate wire and exec stages.
-// The returned sealed result is valid until the next call on the session.
-func (s *Session) Exec(tc telemetry.TraceContext, taskID uint64, work time.Duration, codec security.Codec, sealed []byte) ([]byte, int64, error) {
-	return s.exec("task", frameExec, taskID, codec, sealed, func(dst []byte, epoch uint32) []byte {
-		return appendExecHeader(dst, epoch, taskID, int64(work), tc)
-	})
-}
-
-// ExecBatch implements skel.BatchExecutor: one sealed multi-task blob out
-// in a single frame, one result frame back carrying the sealed result blob
-// — framing and sealing amortize over the batch exactly as on the loopback
-// path. The foreign-codec rule of Exec applies unchanged, and so does the
-// lifetime of the returned result.
-// A batch's trace context travels inside the sealed blob (skel's batch
-// layout), so the frame itself needs none.
+// ExecBatch implements skel.Executor: one sealed envelope blob — one task
+// or many — out in a single exec-batch frame, one result frame back
+// carrying the sealed result blob. When codec is this session's current
+// epoch wrapper the sealed bytes go out verbatim — the transport never
+// sees the plaintext. A foreign codec (an envelope restored from another
+// worker's queue by rebalance, recovery or migration) is opened locally
+// and re-sealed under this session's own binding, so a moved task still
+// crosses the wire under a key its destination knows, at the same
+// security level the farm installed here; the result is handed back
+// sealed under the caller's codec. The envelope's trace context travels
+// inside the sealed blob, and the workerd's reply reports its own measured
+// exec time, which the farm joins with its local round trip by interval
+// arithmetic to separate wire and exec stages. The returned sealed result
+// is valid until the next call on the session.
 func (s *Session) ExecBatch(codec security.Codec, sealed []byte) ([]byte, int64, error) {
-	batchID := s.batchSeq.Add(1)
-	return s.exec("batch", frameExecBatch, batchID, codec, sealed, func(dst []byte, epoch uint32) []byte {
-		return appendExecBatchHeader(dst, epoch, batchID)
-	})
-}
-
-// exec is the round trip behind Exec and ExecBatch: build a frame of type
-// typ in the session's frame buffer — header appends the fixed fields,
-// then the payload follows, resealed into this session's binding when it
-// was sealed under a foreign codec — await the result frame for id, and
-// translate a resealed reply back to the caller's codec. what names the
-// unit ("task", "batch") in errors.
-func (s *Session) exec(what string, typ byte, id uint64, codec security.Codec, sealed []byte,
-	header func(dst []byte, epoch uint32) []byte) ([]byte, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -202,10 +177,12 @@ func (s *Session) exec(what string, typ byte, id uint64, codec security.Codec, s
 	if err := s.faults.apply(s); err != nil {
 		return nil, 0, err
 	}
+	s.batchSeq++
+	id := s.batchSeq
 	var foreign security.Codec
 	var frame []byte
 	if ec, ok := codec.(*epochCodec); ok && ec.s == s {
-		frame = append(header(beginFrame(s.out, typ), ec.epoch), sealed...)
+		frame = append(appendExecBatchHeader(beginFrame(s.out, frameExecBatch), ec.epoch, id), sealed...)
 	} else {
 		// The reply will come back sealed under this session's binding;
 		// remember the foreign codec so the result can be handed back
@@ -213,11 +190,11 @@ func (s *Session) exec(what string, typ byte, id uint64, codec security.Codec, s
 		foreign = codec
 		plain, err := codec.Decode(sealed)
 		if err != nil {
-			return nil, 0, fmt.Errorf("wire: reseal %s for session: %w", what, err)
+			return nil, 0, fmt.Errorf("wire: reseal envelope for session: %w", err)
 		}
-		frame, err = security.AppendEncode(s.binding, header(beginFrame(s.out, typ), s.epoch), plain)
+		frame, err = security.AppendEncode(s.binding, appendExecBatchHeader(beginFrame(s.out, frameExecBatch), s.epoch, id), plain)
 		if err != nil {
-			return nil, 0, fmt.Errorf("wire: reseal %s for session: %w", what, err)
+			return nil, 0, fmt.Errorf("wire: reseal envelope for session: %w", err)
 		}
 	}
 	if err := s.sendLocked(frame); err != nil {
@@ -226,11 +203,11 @@ func (s *Session) exec(what string, typ byte, id uint64, codec security.Codec, s
 	typ, body, err := s.in.read()
 	if err != nil {
 		s.closeLocked()
-		return nil, 0, fmt.Errorf("wire: reading %s result: %w", what, err)
+		return nil, 0, fmt.Errorf("wire: reading envelope result: %w", err)
 	}
 	if typ != frameResult {
 		s.closeLocked()
-		return nil, 0, fmt.Errorf("wire: unexpected frame %#x awaiting %s result", typ, what)
+		return nil, 0, fmt.Errorf("wire: unexpected frame %#x awaiting envelope result", typ)
 	}
 	gotID, status, execNanos, rest, err := parseResult(body)
 	if err != nil {
@@ -239,7 +216,7 @@ func (s *Session) exec(what string, typ byte, id uint64, codec security.Codec, s
 	}
 	if gotID != id {
 		s.closeLocked()
-		return nil, 0, fmt.Errorf("wire: result for %s %d while awaiting %d", what, gotID, id)
+		return nil, 0, fmt.Errorf("wire: result for envelope %d while awaiting %d", gotID, id)
 	}
 	if status != resultOK {
 		// A remote rejection (unknown epoch, unauthenticated payload) is a
@@ -252,14 +229,22 @@ func (s *Session) exec(what string, typ byte, id uint64, codec security.Codec, s
 		plain, err := s.binding.Decode(rest)
 		if err != nil {
 			s.closeLocked()
-			return nil, 0, fmt.Errorf("wire: %s result reseal: %w", what, err)
+			return nil, 0, fmt.Errorf("wire: envelope result reseal: %w", err)
 		}
 		if rest, err = foreign.Encode(plain); err != nil {
-			return nil, 0, fmt.Errorf("wire: %s result reseal: %w", what, err)
+			return nil, 0, fmt.Errorf("wire: envelope result reseal: %w", err)
 		}
 	}
 	s.stats.execs.Add(1)
 	return rest, execNanos, nil
+}
+
+// Exec implements skel.Executor for a caller holding one sealed task
+// payload: skel.ExecOne packs it as a one-member envelope blob and runs it
+// through ExecBatch, so it crosses the wire in the same exec-batch frame
+// as every farm envelope. The farm itself never calls it.
+func (s *Session) Exec(tc telemetry.TraceContext, taskID uint64, work time.Duration, codec security.Codec, sealed []byte) ([]byte, int64, error) {
+	return skel.ExecOne(s, tc, taskID, work, codec, sealed)
 }
 
 // control runs one control exchange over this session: the op byte and

@@ -2,8 +2,8 @@
 // framed, length-prefixed TCP protocol (stdlib net only) carrying the
 // farm's sealed envelopes between a coordinator process and workerd
 // processes. The package deliberately does not invent its own payload
-// cryptography — the bytes inside an exec frame are exactly the bytes the
-// binding codec of internal/security produced, so the security concern's
+// cryptography — the bytes inside an exec-batch frame are exactly the
+// bytes the binding codec of internal/security produced, so the security concern's
 // guarantees (AES-GCM sealing, the two-phase rekey, the leak audit) hold
 // unchanged across the machine boundary.
 //
@@ -14,8 +14,11 @@
 //	rekey ─▶ installs binding codec epoch N on the remote end; the frame
 //	         body — codec name and key — is sealed under the master codec,
 //	         so key material never crosses in clear
-//	exec ──▶ epoch + task id + nominal work + sealed payload
-//	◀─ result  task id + sealed result payload (same epoch), or an error
+//	exec-batch ─▶ epoch + batch id + sealed envelope blob (trace context,
+//	         then each member's task id, nominal work and payload — one
+//	         member or many, all inside the seal)
+//	◀─ result  batch id + exec time + sealed result blob (same epoch), or
+//	         an error
 //	control ─▶ op + request, sealed under the master codec (a stats
 //	         scrape or a management-plane exchange)
 //	◀─ control reply, sealed under the master codec
@@ -28,7 +31,7 @@
 // hazard window at once (frames sealed under the old binding are still in
 // flight when the new one lands).
 //
-// Failure model: any transport error surfaces from Session.Exec and the
+// Failure model: any transport error surfaces from Session.ExecBatch and the
 // farm maps it onto its worker-crash contract — the worker's queue
 // strands, the fault-tolerance manager recovers the tasks and replacement
 // recruitment re-dials. A broken link and a dead machine are the same
@@ -46,16 +49,14 @@ import (
 
 	"repro/internal/security"
 	"repro/internal/skel"
-	"repro/internal/telemetry"
 )
 
 // Frame types of the protocol.
 const (
 	frameHello        byte = 0x01 // server→client node advertisement
 	frameRekey        byte = 0x02 // client→server binding codec install
-	frameExec         byte = 0x03 // client→server task envelope
 	frameResult       byte = 0x04 // server→client task result or error
-	frameExecBatch    byte = 0x05 // client→server multi-task batch envelope
+	frameExecBatch    byte = 0x05 // client→server task envelope (N ≥ 1 tasks)
 	frameControl      byte = 0x06 // client→server sealed op + request
 	frameControlReply byte = 0x07 // server→client sealed reply
 )
@@ -247,38 +248,11 @@ func transportable(c security.Codec) (name string, key []byte, err error) {
 	}
 }
 
-// appendExecHeader appends the fixed fields of an exec frame body:
-// uint32 epoch | uint64 taskID | int64 workNanos | trace context. The
-// sealed payload follows them. The 17-byte trace context
-// (telemetry.TraceContext) travels in the frame, not the seal: it carries
-// no payload data, and the workerd needs it before any decode to know
-// whether this exec joins a sampled trace.
-func appendExecHeader(dst []byte, epoch uint32, taskID uint64, workNanos int64, tc telemetry.TraceContext) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, epoch)
-	dst = binary.BigEndian.AppendUint64(dst, taskID)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(workNanos))
-	return tc.AppendTo(dst)
-}
-
-// parseExec decodes an exec frame body.
-func parseExec(body []byte) (epoch uint32, taskID uint64, workNanos int64, tc telemetry.TraceContext, sealed []byte, err error) {
-	if len(body) < 20+telemetry.TraceContextSize {
-		return 0, 0, 0, tc, nil, errors.New("wire: short exec frame")
-	}
-	epoch = binary.BigEndian.Uint32(body[:4])
-	taskID = binary.BigEndian.Uint64(body[4:12])
-	workNanos = int64(binary.BigEndian.Uint64(body[12:20]))
-	if tc, err = telemetry.ParseTraceContext(body[20:]); err != nil {
-		return 0, 0, 0, tc, nil, err
-	}
-	return epoch, taskID, workNanos, tc, body[20+telemetry.TraceContextSize:], nil
-}
-
 // appendExecBatchHeader appends the fixed fields of an exec-batch frame
-// body: uint32 epoch | uint64 batchID. The sealed batch blob follows them;
-// its per-task ids, work and payloads are inside the seal (skel's batch
-// blob layout). batchID exists only to correlate the result frame, exactly
-// like a task id on a single exec.
+// body: uint32 epoch | uint64 batchID. The sealed envelope blob follows
+// them; its trace context and per-task ids, work and payloads are inside
+// the seal (skel's blob layout). batchID exists only to correlate the
+// result frame.
 func appendExecBatchHeader(dst []byte, epoch uint32, batchID uint64) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, epoch)
 	return binary.BigEndian.AppendUint64(dst, batchID)
@@ -301,28 +275,28 @@ const (
 )
 
 // appendResultHeader appends the fixed fields of a result frame body:
-// uint64 taskID | status | int64 execNanos. The sealed result (OK) or the
+// uint64 batchID | status | int64 execNanos. The sealed result (OK) or the
 // error text (Err) follows them. execNanos is the server-measured
 // execution time of the frame (modelled sleep plus worker function),
 // reported in the server's own clock: the coordinator subtracts it from
 // its locally measured round trip to split wire time from exec time by
 // interval arithmetic — the two clocks are never compared directly, so
 // skew cannot corrupt the split.
-func appendResultHeader(dst []byte, taskID uint64, status byte, execNanos int64) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, taskID)
+func appendResultHeader(dst []byte, id uint64, status byte, execNanos int64) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, id)
 	dst = append(dst, status)
 	return binary.BigEndian.AppendUint64(dst, uint64(execNanos))
 }
 
 // parseResult decodes a result frame body.
-func parseResult(body []byte) (taskID uint64, status byte, execNanos int64, rest []byte, err error) {
+func parseResult(body []byte) (id uint64, status byte, execNanos int64, rest []byte, err error) {
 	if len(body) < 17 {
 		return 0, 0, 0, nil, errors.New("wire: short result frame")
 	}
-	taskID = binary.BigEndian.Uint64(body[:8])
+	id = binary.BigEndian.Uint64(body[:8])
 	status = body[8]
 	execNanos = int64(binary.BigEndian.Uint64(body[9:17]))
-	return taskID, status, execNanos, body[17:], nil
+	return id, status, execNanos, body[17:], nil
 }
 
 // DerivePSK stretches a shared secret string into the 32-byte master key

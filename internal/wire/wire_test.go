@@ -45,12 +45,12 @@ func edgeHello(name string) Hello {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	body := bytes.Repeat([]byte("frame"), 100)
-	if err := writeFrame(&buf, frameExec, body); err != nil {
+	if err := writeFrame(&buf, frameExecBatch, body); err != nil {
 		t.Fatal(err)
 	}
 	wireBytes := append([]byte(nil), buf.Bytes()...)
 	typ, got, err := readFrame(&buf)
-	if err != nil || typ != frameExec || !bytes.Equal(got, body) {
+	if err != nil || typ != frameExecBatch || !bytes.Equal(got, body) {
 		t.Fatalf("roundtrip: typ=%#x err=%v", typ, err)
 	}
 	// Every truncation must error, never panic or block on a short reader.
@@ -60,7 +60,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	// A hostile length prefix must be refused before allocation.
-	huge := []byte{0xff, 0xff, 0xff, 0xff, frameExec}
+	huge := []byte{0xff, 0xff, 0xff, 0xff, frameExecBatch}
 	if _, _, err := readFrame(bytes.NewReader(huge)); err != errFrameTooLarge {
 		t.Fatalf("oversized frame: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // allocating, and a buffer one oversized frame grew past
 // skel.MaxRetainedBuffer is dropped at the next read instead of kept.
 func TestFrameReaderReusesBuffer(t *testing.T) {
-	small := frameBytes(frameExec, bytes.Repeat([]byte("s"), 300))
+	small := frameBytes(frameExecBatch, bytes.Repeat([]byte("s"), 300))
 	r := bytes.NewReader(small)
 	fr := frameReader{r: r}
 	if _, _, err := fr.read(); err != nil {
@@ -86,7 +86,7 @@ func TestFrameReaderReusesBuffer(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("reading a frame into a warm buffer allocated %v times", allocs)
 	}
-	r.Reset(frameBytes(frameExec, make([]byte, skel.MaxRetainedBuffer+1)))
+	r.Reset(frameBytes(frameExecBatch, make([]byte, skel.MaxRetainedBuffer+1)))
 	if _, _, err := fr.read(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +223,42 @@ func TestControlOpWithoutHandlerCutsConnection(t *testing.T) {
 	}
 	if got := srv.Rejected(); got != 2 {
 		t.Fatalf("rejected = %d, want 2", got)
+	}
+}
+
+// TestRetiredExecFrameCutsConnection: frame type 0x03, the retired
+// one-task exec frame, is refused like any unknown frame — a well-formed
+// one (epoch 0, Plain payload) gets no result, the connection is cut and
+// the refusal counted.
+func TestRetiredExecFrameCutsConnection(t *testing.T) {
+	srv := startServer(t, edgeHello("edge0"), nil)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, _, err := readFrame(conn); err != nil { // server hello
+		t.Fatal(err)
+	}
+	// The retired layout: uint32 epoch | uint64 taskID | int64 work |
+	// trace context | payload.
+	body := binary.BigEndian.AppendUint32(nil, 0)
+	body = binary.BigEndian.AppendUint64(body, 1)
+	body = binary.BigEndian.AppendUint64(body, 0)
+	body = noTrace.AppendTo(body)
+	body = append(body, "plain payload"...)
+	if err := writeFrame(conn, 0x03, body); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if typ, _, err := readFrame(conn); err == nil {
+		t.Fatalf("server answered a 0x03 frame with frame %#x", typ)
+	}
+	if got := srv.Rejected(); got != 1 {
+		t.Fatalf("rejected = %d, want 1", got)
+	}
+	if srv.Served() != 0 {
+		t.Fatalf("served = %d, want 0", srv.Served())
 	}
 }
 
