@@ -452,9 +452,11 @@ func (m *Manager) noteAction(op, detail string, err error) {
 // root) and marks this cycle as violation-raising. With tracing on, the
 // violation carries the cycle's causality id (allocating one if this
 // cycle has none yet), so the parent's reaction records chain to ours.
-// A violation the link does not take — parent crashed or partitioned, a
-// drop mid-send, a full parent queue — is parked in the bounded buffer
-// and re-delivered in order by the next flush.
+// Every report goes through the bounded buffer and is flushed at once,
+// behind any violations still parked there, so the parent sees them in
+// raise order. What the link does not take — parent crashed or
+// partitioned, a drop mid-send, a full parent queue — stays parked for
+// the next flush.
 func (m *Manager) reportViolation(tag string, snap contract.Snapshot) {
 	m.cycleViolation = true
 	if m.cycleOpen && m.cycleCause == 0 && m.tracer != nil {
@@ -473,9 +475,7 @@ func (m *Manager) reportViolation(tag string, snap contract.Snapshot) {
 		From: m.cfg.Name, Tag: tag, Snapshot: snap,
 		When: m.clock.Now(), CauseID: m.cycleCause,
 	}
-	if l.Down() || l.Deliver(v) != nil {
-		m.bufferViolation(v)
-	}
+	m.flushBuffered(m.bufferViolation(v))
 }
 
 // Escalate forwards a violation up the hierarchy. Intermediate managers —
@@ -549,7 +549,7 @@ func (m *Manager) RunOnce() error {
 
 	// Re-deliver violations parked during a parent outage before reacting
 	// to the live ones, preserving arrival order at the parent.
-	m.flushBuffered()
+	m.flushBuffered(false)
 
 	// React to child violations first (hierarchical coordination). The
 	// first child violation's causality id is inherited, so the reaction's

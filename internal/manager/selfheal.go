@@ -226,13 +226,15 @@ func (m *Manager) resplitChild(child *Manager) error {
 // out one eviction at a time. Coalescing keeps the entry's original
 // CauseID — the id the parent-side dedup and the decision chain anchor on
 // — while refreshing its evidence to the newest snapshot.
-func (m *Manager) bufferViolation(v Violation) {
+//
+// It reports whether v went in as a new entry, which is then the last.
+func (m *Manager) bufferViolation(v Violation) bool {
 	m.mu.Lock()
 	if v.CauseID != 0 {
 		for _, q := range m.violBuf {
 			if q.CauseID == v.CauseID {
 				m.mu.Unlock()
-				return
+				return false
 			}
 		}
 	}
@@ -241,7 +243,7 @@ func (m *Manager) bufferViolation(v Violation) {
 			m.violBuf[i].Snapshot = v.Snapshot
 			m.violBuf[i].When = v.When
 			m.mu.Unlock()
-			return
+			return false
 		}
 	}
 	var dropped Violation
@@ -260,13 +262,16 @@ func (m *Manager) bufferViolation(v Violation) {
 			fmt.Sprintf("buffer full: evicted %s from %s (cause %d)",
 				dropped.Tag, dropped.From, dropped.CauseID))
 	}
+	return true
 }
 
 // flushBuffered re-delivers violations buffered across a parent outage
 // (or refused by a full parent queue) once the link takes deliveries
-// again. Called at the top of every RunOnce; a delivery failure mid-flush
-// re-parks the remainder in order.
-func (m *Manager) flushBuffered() {
+// again. Called at the top of every RunOnce and after every raise; a
+// delivery failure mid-flush re-parks the remainder in order. freshTail
+// says the last entry is the violation just raised: it is delivered like
+// the others but not counted as re-delivered.
+func (m *Manager) flushBuffered(freshTail bool) {
 	m.mu.Lock()
 	n := len(m.violBuf)
 	m.mu.Unlock()
@@ -290,6 +295,9 @@ func (m *Manager) flushBuffered() {
 			break
 		}
 		sent++
+	}
+	if freshTail && sent == len(buf) {
+		sent--
 	}
 	if sent > 0 {
 		m.log.Record(m.clock.Now(), m.cfg.Name, trace.RaiseViol,

@@ -159,7 +159,7 @@ func TestViolationBufferedWhileParentDown(t *testing.T) {
 	if err := parent.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
-	child.flushBuffered()
+	child.flushBuffered(false)
 	select {
 	case v := <-parent.violations:
 		if v.From != "C" || v.Tag != rules.TagNotEnoughTasks {
@@ -473,6 +473,47 @@ func raiseDistinct(child *Manager, n int) {
 	for i := 0; i < n; i++ {
 		child.cycleCause = uint64(i + 1)
 		child.Escalate(fmt.Sprintf("tag%d", i), contract.Snapshot{})
+	}
+}
+
+// TestFreshRaiseQueuesBehindParked: a violation raised while an older one
+// is still parked goes out behind it, even when the parent has drained
+// its queue since the older one was refused and no child cycle has
+// flushed the buffer in between. The parent must handle them in raise
+// order.
+func TestFreshRaiseQueuesBehindParked(t *testing.T) {
+	var handled []string
+	parent, _ := newTestManager(t, "P", &stub{}, nil, Policy{
+		OnChildViolation: func(_ *Manager, v Violation) { handled = append(handled, v.Tag) },
+	})
+	child, _ := newTestManager(t, "C", &stub{}, nil, Policy{})
+	parent.AttachChild(child)
+
+	fill := cap(parent.violations)
+	raiseDistinct(child, fill)
+	child.cycleCause = uint64(fill + 1)
+	child.Escalate("A", contract.Snapshot{})
+	if got := child.BufferedViolations(); got != 1 {
+		t.Fatalf("A parked %d violations behind a full queue, want 1", got)
+	}
+	if err := parent.RunOnce(); err != nil { // drains the queue; A stays parked
+		t.Fatal(err)
+	}
+	child.cycleCause = uint64(fill + 2)
+	child.Escalate("B", contract.Snapshot{})
+	for _, m := range []*Manager{parent, child, parent} {
+		if err := m.RunOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(handled) != fill+2 {
+		t.Fatalf("parent handled %d violations, want %d", len(handled), fill+2)
+	}
+	if got := handled[fill:]; got[0] != "A" || got[1] != "B" {
+		t.Fatalf("parent handled %v after the fill, want [A B]: a fresh raise overtook a parked one", got)
+	}
+	if n := child.BufferedViolations(); n != 0 {
+		t.Fatalf("buffer holds %d violations after the drain, want 0", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package skel
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -260,8 +261,42 @@ func TestFarmAddWorkerResourceExhaustion(t *testing.T) {
 	}
 }
 
+// TestFarmRebalance spreads a lopsided backlog over two freshly added
+// workers. Every worker's first task is gated: the fault hook reports the
+// worker as busy and blocks until the test releases it, so while the
+// queues are read no worker can pop and the lengths depend only on
+// Rebalance. Round-robin dispatch hands each new worker exactly one task
+// to block on once the backlog is in place.
 func TestFarmRebalance(t *testing.T) {
-	f, _ := NewFarm(FarmConfig{Name: "f", Env: Env{TimeScale: 100}, RM: smpRM(8), InitialWorkers: 2})
+	f, _ := NewFarm(FarmConfig{Name: "f", Env: Env{TimeScale: 100}, RM: smpRM(8),
+		InitialWorkers: 2, Dispatch: RoundRobin})
+	var (
+		mu      sync.Mutex
+		gated   = map[string]bool{}
+		blocked = make(chan string, 4)
+		release = make(chan struct{})
+	)
+	f.SetWorkerFault(func(id string, _ *Task) WorkerFault {
+		mu.Lock()
+		first := !gated[id]
+		gated[id] = true
+		mu.Unlock()
+		if first {
+			blocked <- id
+			<-release
+		}
+		return WorkerFault{}
+	})
+	waitBlocked := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case <-blocked:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("only %d of %d workers reached their gated first task", i, n)
+			}
+		}
+	}
 	in := make(chan *Task)
 	out := make(chan *Task, 256)
 	go func() {
@@ -271,16 +306,21 @@ func TestFarmRebalance(t *testing.T) {
 	done := make(chan struct{})
 	go func() { f.Run(context.Background(), in, out); close(done) }()
 	waitFor(t, func() bool { return len(f.Workers()) == 2 })
-	// Flood with slow tasks so queues build up.
 	for i := 0; i < 40; i++ {
-		in <- &Task{ID: NextTaskID(), Work: 10 * time.Second}
+		in <- &Task{ID: NextTaskID(), Work: time.Second}
 	}
-	waitFor(t, func() bool { return f.Stats().Dispatched == 40 })
-	// Add two empty workers: imbalance appears, then rebalance fixes it.
+	waitBlocked(2)
+	// Add two empty workers, then one task per worker in round-robin
+	// order: the two new workers pop theirs and block too.
 	f.AddWorker()
 	f.AddWorker()
+	for i := 0; i < 4; i++ {
+		in <- &Task{ID: NextTaskID(), Work: time.Second}
+	}
+	waitBlocked(2)
+	waitFor(t, func() bool { return f.Stats().Dispatched == 44 })
 	if v := f.Stats().QueueVariance; v == 0 {
-		t.Skip("queues drained too fast to observe imbalance")
+		t.Fatalf("no imbalance before Rebalance: %v", f.Stats().QueueLens)
 	}
 	f.Rebalance()
 	st := f.Stats()
@@ -296,6 +336,7 @@ func TestFarmRebalance(t *testing.T) {
 	if max-min > 1 {
 		t.Fatalf("queues unbalanced after Rebalance: %v", st.QueueLens)
 	}
+	close(release)
 	close(in)
 	<-done
 }

@@ -10,6 +10,8 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // Server is the opt-in introspection endpoint. Routes:
@@ -78,41 +80,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no decision tracer attached", http.StatusNotFound)
 		return
 	}
-	n := 64
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		if v > 0 {
-			n = v
-		}
-	}
-	var recs []DecisionRecord
-	if q := r.URL.Query().Get("cause"); q != "" {
-		cause, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			http.Error(w, "bad cause", http.StatusBadRequest)
-			return
-		}
-		recs = tr.ByCause(cause)
-	} else {
-		recs = tr.Last(n)
-	}
-	if r.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for _, rec := range recs {
-			_ = enc.Encode(rec)
-		}
-		return
-	}
-	if recs == nil {
-		recs = []DecisionRecord{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(recs)
+	serveRecords(w, r, tr.Last, tr.ByCause, nil)
 }
 
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
@@ -122,49 +90,57 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ring := tt.Ring()
+	serveRecords(w, r, ring.Last, ring.ByCause, ring.ByTrace)
+}
+
+// serveRecords answers a record query shared by /trace and /spans: the
+// newest n records (n absent or 0 means 64), or one causality chain
+// (cause=ID, decimal), or — when byTrace is non-nil — one task trace
+// (trace=HEX). format=jsonl streams one object per line; otherwise the
+// reply is a JSON array, [] when nothing matches.
+func serveRecords[T any](w http.ResponseWriter, r *http.Request,
+	last func(int) []T, byCause, byTrace func(uint64) []T) {
+	q := r.URL.Query()
 	n := 64
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
+	if v := q.Get("n"); v != "" {
+		k, err := strconv.Atoi(v)
+		if err != nil || k < 0 {
 			http.Error(w, "bad n", http.StatusBadRequest)
 			return
 		}
-		if v > 0 {
-			n = v
+		if k > 0 {
+			n = k
 		}
 	}
-	var spans []Span
+	var recs []T
 	switch {
-	case r.URL.Query().Get("trace") != "":
+	case byTrace != nil && q.Get("trace") != "":
 		var traceID uint64
-		if _, err := fmt.Sscanf(r.URL.Query().Get("trace"), "%x", &traceID); err != nil {
+		if _, err := fmt.Sscanf(q.Get("trace"), "%x", &traceID); err != nil {
 			http.Error(w, "bad trace", http.StatusBadRequest)
 			return
 		}
-		spans = ring.ByTrace(traceID)
-	case r.URL.Query().Get("cause") != "":
-		cause, err := strconv.ParseUint(r.URL.Query().Get("cause"), 10, 64)
+		recs = byTrace(traceID)
+	case q.Get("cause") != "":
+		cause, err := strconv.ParseUint(q.Get("cause"), 10, 64)
 		if err != nil {
 			http.Error(w, "bad cause", http.StatusBadRequest)
 			return
 		}
-		spans = ring.ByCause(cause)
+		recs = byCause(cause)
 	default:
-		spans = ring.Last(n)
+		recs = last(n)
 	}
-	if r.URL.Query().Get("format") == "jsonl" {
+	if q.Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for _, sp := range spans {
-			_ = enc.Encode(sp)
-		}
+		_ = trace.WriteJSONL(w, recs)
 		return
 	}
-	if spans == nil {
-		spans = []Span{}
+	if recs == nil {
+		recs = []T{}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(spans)
+	_ = json.NewEncoder(w).Encode(recs)
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {

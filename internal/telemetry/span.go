@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // This file is the task-tracing half of the telemetry plane: pooled,
@@ -341,13 +342,12 @@ func (s *Sampler) Rate() uint64 {
 	return s.rate
 }
 
-// SpanRing is the bounded in-memory span store: publish copies the span in
-// (overwriting the oldest once full, counted as drops), readers copy out.
-// It mirrors the Tracer's decision ring so /spans behaves like /trace.
+// SpanRing is the bounded in-memory span store, a trace.Ring of spans:
+// publish copies the span in (overwriting the oldest once full, counted
+// as drops), readers copy out, so /spans behaves like /trace.
 type SpanRing struct {
 	mu   sync.Mutex
-	buf  []Span
-	next uint64 // total spans ever published
+	ring *trace.Ring[Span]
 
 	faults atomic.Uint64 // published spans carrying a fault annotation
 }
@@ -361,7 +361,7 @@ func NewSpanRing(n int) *SpanRing {
 	if n <= 0 {
 		n = DefaultSpanRingSize
 	}
-	return &SpanRing{buf: make([]Span, 0, n)}
+	return &SpanRing{ring: trace.NewRing[Span](n)}
 }
 
 // publish copies sp into the ring.
@@ -370,12 +370,7 @@ func (r *SpanRing) publish(sp *Span) {
 		r.faults.Add(1)
 	}
 	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, *sp)
-	} else {
-		r.buf[r.next%uint64(cap(r.buf))] = *sp
-	}
-	r.next++
+	r.ring.Add(*sp)
 	r.mu.Unlock()
 }
 
@@ -383,17 +378,14 @@ func (r *SpanRing) publish(sp *Span) {
 func (r *SpanRing) Published() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.next
+	return r.ring.Total()
 }
 
 // Dropped returns how many spans have been overwritten unread.
 func (r *SpanRing) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.next <= uint64(cap(r.buf)) {
-		return 0
-	}
-	return r.next - uint64(cap(r.buf))
+	return r.ring.Dropped()
 }
 
 // Faults returns the total number of fault-annotated spans ever published
@@ -405,47 +397,25 @@ func (r *SpanRing) Faults() uint64 { return r.faults.Load() }
 func (r *SpanRing) Last(n int) []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.lastLocked(n)
+	return r.ring.Last(n)
 }
 
-func (r *SpanRing) lastLocked(n int) []Span {
-	size := len(r.buf)
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Span, 0, n)
-	start := r.next - uint64(n)
-	for i := start; i < r.next; i++ {
-		out = append(out, r.buf[i%uint64(cap(r.buf))])
-	}
-	return out
+// filter returns the retained spans keep accepts, oldest first.
+func (r *SpanRing) filter(keep func(*Span) bool) []Span {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ring.Filter(keep)
 }
 
 // ByTrace returns every retained span of the given trace, oldest first.
 func (r *SpanRing) ByTrace(traceID uint64) []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Span
-	for _, sp := range r.lastLocked(0) {
-		if sp.TraceID == traceID {
-			out = append(out, sp)
-		}
-	}
-	return out
+	return r.filter(func(sp *Span) bool { return sp.TraceID == traceID })
 }
 
 // ByCause returns every retained span attached to the given violation
 // cause id, oldest first.
 func (r *SpanRing) ByCause(cause uint64) []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Span
-	for _, sp := range r.lastLocked(0) {
-		if sp.Cause == cause {
-			out = append(out, sp)
-		}
-	}
-	return out
+	return r.filter(func(sp *Span) bool { return sp.Cause == cause })
 }
 
 // AttachCause stamps the cause id onto up to n of the most recent
@@ -459,28 +429,21 @@ func (r *SpanRing) AttachCause(cause uint64, n int) int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	size := uint64(len(r.buf))
 	attached := 0
-	for i := uint64(0); i < size && attached < n; i++ {
-		idx := (r.next - 1 - i) % uint64(cap(r.buf))
-		if r.buf[idx].Cause == 0 {
-			r.buf[idx].Cause = cause
+	r.ring.Newest(func(sp *Span) bool {
+		if sp.Cause == 0 {
+			sp.Cause = cause
 			attached++
 		}
-	}
+		return attached < n
+	})
 	return attached
 }
 
 // WriteJSONL streams up to n retained spans (0 = all), oldest first, one
 // JSON object per line.
 func (r *SpanRing) WriteJSONL(w io.Writer, n int) error {
-	enc := json.NewEncoder(w)
-	for _, sp := range r.Last(n) {
-		if err := enc.Encode(sp); err != nil {
-			return err
-		}
-	}
-	return nil
+	return trace.WriteJSONL(w, r.Last(n))
 }
 
 // TaskTracer bundles the sampler, the span pool, the span ring and the

@@ -196,6 +196,24 @@ func TestServerEndpoints(t *testing.T) {
 		ct != "application/x-ndjson" || len(strings.Split(strings.TrimSpace(body), "\n")) != 2 {
 		t.Fatalf("/trace jsonl = %d %q %q", code, ct, body)
 	}
+	code, body, _ = get(fmt.Sprintf("/trace?cause=%d", c))
+	recs = nil
+	if err := json.Unmarshal([]byte(body), &recs); code != 200 || err != nil ||
+		len(recs) != 2 || recs[0].Manager != "AM_F" || recs[1].Manager != "AM_A" {
+		t.Fatalf("/trace?cause=%d = %d %v %+v", c, code, err, recs)
+	}
+	if code, body, _ := get(fmt.Sprintf("/trace?cause=%d", c+1)); code != 200 || strings.TrimSpace(body) != "[]" {
+		t.Fatalf("/trace for an unknown cause = %d %q, want 200 []", code, body)
+	}
+	if code, body, _ := get(fmt.Sprintf("/trace?cause=%d&format=jsonl", c)); code != 200 ||
+		len(strings.Split(strings.TrimSpace(body), "\n")) != 2 {
+		t.Fatalf("/trace jsonl by cause = %d %q", code, body)
+	}
+	for _, path := range []string{"/trace?cause=bogus", "/trace?cause=-1"} {
+		if code, _, _ := get(path); code != 400 {
+			t.Fatalf("%s = %d, want 400", path, code)
+		}
+	}
 	if code, body, _ := get("/managers"); code != 200 || !strings.Contains(body, "AM_F") {
 		t.Fatalf("/managers = %d %q", code, body)
 	}
@@ -220,7 +238,7 @@ func TestServerTraceWithoutTracer(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Run(ctx) }()
 	client := &http.Client{Timeout: 5 * time.Second}
-	for path, want := range map[string]int{"/trace": 404, "/managers": 404} {
+	for path, want := range map[string]int{"/trace": 404, "/spans": 404, "/managers": 404} {
 		resp, err := client.Get("http://" + srv.Addr() + path)
 		if err != nil {
 			t.Fatal(err)

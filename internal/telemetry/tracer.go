@@ -11,13 +11,14 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"io"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/contract"
+	"repro/internal/trace"
 )
 
 // RuleEval is the verdict of one rule in the plan phase of a decision.
@@ -77,20 +78,16 @@ type DecisionRecord struct {
 	CatchUp bool `json:"catch_up,omitempty"`
 }
 
-// Tracer accumulates decision records in a bounded ring. Overflow evicts
-// the oldest record and bumps the drop counter: a long-running server
-// keeps the most recent window and the count of what it lost. All methods
-// are safe for concurrent use.
+// Tracer accumulates decision records in a bounded trace.Ring. Overflow
+// evicts the oldest record and bumps the drop counter: a long-running
+// server keeps the most recent window and the count of what it lost. All
+// methods are safe for concurrent use.
 type Tracer struct {
-	seq   atomic.Uint64
 	cause atomic.Uint64
 
-	mu      sync.Mutex
-	ring    []DecisionRecord
-	head    int
-	cap     int
-	dropped uint64
-	last    map[string]DecisionRecord
+	mu   sync.Mutex
+	ring *trace.Ring[DecisionRecord]
+	last map[string]DecisionRecord
 }
 
 // DefaultTraceDepth is the ring capacity used when NewTracer is given a
@@ -103,7 +100,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceDepth
 	}
-	return &Tracer{cap: capacity, last: map[string]DecisionRecord{}}
+	return &Tracer{ring: trace.NewRing[DecisionRecord](capacity), last: map[string]DecisionRecord{}}
 }
 
 // NextCause allocates a fresh causality id. The allocating manager stamps
@@ -115,17 +112,11 @@ func (t *Tracer) NextCause() uint64 { return t.cause.Add(1) }
 // evicting the oldest record when the ring is full. It returns the
 // assigned sequence number.
 func (t *Tracer) Record(rec DecisionRecord) uint64 {
-	rec.Seq = t.seq.Add(1)
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	rec.Seq = t.ring.Total() + 1
 	t.last[rec.Manager] = rec
-	if len(t.ring) == t.cap {
-		t.ring[t.head] = rec
-		t.head = (t.head + 1) % t.cap
-		t.dropped++
-	} else {
-		t.ring = append(t.ring, rec)
-	}
-	t.mu.Unlock()
+	t.ring.Add(rec)
 	return rec.Seq
 }
 
@@ -133,17 +124,21 @@ func (t *Tracer) Record(rec DecisionRecord) uint64 {
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ring)
+	return t.ring.Len()
 }
 
 // Total returns how many records were ever recorded.
-func (t *Tracer) Total() uint64 { return t.seq.Load() }
+func (t *Tracer) Total() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.ring.Total()
+}
 
 // Dropped returns how many records the ring evicted.
 func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.ring.Dropped()
 }
 
 // Last returns the newest n records in chronological order (all of them
@@ -151,15 +146,7 @@ func (t *Tracer) Dropped() uint64 {
 func (t *Tracer) Last(n int) []DecisionRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	size := len(t.ring)
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]DecisionRecord, 0, n)
-	for i := size - n; i < size; i++ {
-		out = append(out, t.ring[(t.head+i)%size])
-	}
-	return out
+	return t.ring.Last(n)
 }
 
 // ByCause returns, in chronological order, the retained records sharing
@@ -168,13 +155,9 @@ func (t *Tracer) ByCause(cause uint64) []DecisionRecord {
 	if cause == 0 {
 		return nil
 	}
-	var out []DecisionRecord
-	for _, rec := range t.Last(0) {
-		if rec.Cause == cause {
-			out = append(out, rec)
-		}
-	}
-	return out
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.ring.Filter(func(rec *DecisionRecord) bool { return rec.Cause == cause })
 }
 
 // LastByManager returns the most recent record of every manager that ever
@@ -182,21 +165,11 @@ func (t *Tracer) ByCause(cause uint64) []DecisionRecord {
 func (t *Tracer) LastByManager() map[string]DecisionRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[string]DecisionRecord, len(t.last))
-	for k, v := range t.last {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(t.last)
 }
 
 // WriteJSONL exports the retained records, oldest first, one JSON object
 // per line.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range t.Last(0) {
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return trace.WriteJSONL(w, t.Last(0))
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/runtime/leaktest"
 )
 
 // --- bounded ring + eviction counter -------------------------------------
@@ -38,50 +37,6 @@ func TestBoundedLogEvictsOldest(t *testing.T) {
 	if got := l.Count("AM_F", ContrLow); got != 3 {
 		t.Errorf("Count = %d, want 3", got)
 	}
-}
-
-func TestSetLimitTrimsExisting(t *testing.T) {
-	l := NewLog()
-	for i := 0; i < 6; i++ {
-		l.Record(epoch.Add(time.Duration(i)*time.Second), "AM_F", ContrLow, fmt.Sprintf("e%d", i))
-	}
-	l.SetLimit(2)
-	evs := l.Events()
-	if len(evs) != 2 || evs[0].Detail != "e4" || evs[1].Detail != "e5" {
-		t.Fatalf("after SetLimit(2): %v", evs)
-	}
-	if got := l.Evicted(); got != 4 {
-		t.Fatalf("Evicted = %d, want 4", got)
-	}
-	// Unbounding again keeps appending without a ring.
-	l.SetLimit(0)
-	l.Record(epoch.Add(10*time.Second), "AM_F", AddWorker, "e6")
-	if got := l.Len(); got != 3 {
-		t.Fatalf("Len after unbound = %d, want 3", got)
-	}
-}
-
-func TestUnsubscribeRemovesAndCloses(t *testing.T) {
-	defer leaktest.Check(t)()
-	l := NewLog()
-	ch := l.Subscribe(1)
-	done := make(chan int)
-	go func() {
-		n := 0
-		for range ch {
-			n++
-		}
-		done <- n
-	}()
-	l.Record(epoch, "AM_F", ContrLow, "")
-	l.Unsubscribe(ch)
-	if n := <-done; n != 1 {
-		t.Fatalf("consumer saw %d events, want 1", n)
-	}
-	// Events after Unsubscribe must not panic (send on closed channel).
-	l.Record(epoch.Add(time.Second), "AM_F", ContrLow, "")
-	// Unknown channel is a no-op.
-	l.Unsubscribe(make(chan Event))
 }
 
 // --- fmtClock hour wrap ---------------------------------------------------

@@ -7,6 +7,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -89,76 +90,39 @@ type EventCountKey struct {
 }
 
 // Log is a concurrency-safe event log shared by a hierarchy of managers.
-// It is unbounded by default; SetLimit turns it into a ring that evicts
-// the oldest events, so long-running servers hold a window rather than
-// the whole history. Cumulative per-(source, kind) counts survive
-// eviction (they back the /metrics event counters).
+// NewLog keeps every event; NewBoundedLog keeps the newest ones in a Ring,
+// so long-running servers hold a window rather than the whole history.
+// Cumulative per-(source, kind) counts survive eviction (they back the
+// /metrics event counters).
 type Log struct {
-	mu      sync.Mutex
-	events  []Event
-	head    int // ring start when len(events) == limit
-	limit   int // 0 = unbounded
-	evicted uint64
-	counts  map[EventCountKey]uint64
-	subs    []chan Event
+	mu     sync.Mutex
+	ring   *Ring[Event]
+	counts map[EventCountKey]uint64
 }
 
 // NewLog returns an empty, unbounded log.
-func NewLog() *Log { return &Log{} }
+func NewLog() *Log { return NewBoundedLog(0) }
 
-// NewBoundedLog returns a log keeping only the newest max events.
+// NewBoundedLog returns a log keeping only the newest max events (every
+// event when max <= 0).
 func NewBoundedLog(max int) *Log {
-	l := NewLog()
-	l.SetLimit(max)
-	return l
+	return &Log{ring: NewRing[Event](max), counts: map[EventCountKey]uint64{}}
 }
 
 // Add appends an event, evicting the oldest one when the log is bounded
 // and full.
 func (l *Log) Add(e Event) {
 	l.mu.Lock()
-	if l.counts == nil {
-		l.counts = map[EventCountKey]uint64{}
-	}
 	l.counts[EventCountKey{Source: e.Source, Kind: e.Kind}]++
-	if l.limit > 0 && len(l.events) == l.limit {
-		l.events[l.head] = e
-		l.head = (l.head + 1) % l.limit
-		l.evicted++
-	} else {
-		l.events = append(l.events, e)
-	}
-	// Delivery stays under the mutex so Unsubscribe can never race a send
-	// on a closed channel; sends are non-blocking either way.
-	for _, ch := range l.subs {
-		select {
-		case ch <- e:
-		default: // slow subscribers drop events rather than stall managers
-		}
-	}
+	l.ring.Add(e)
 	l.mu.Unlock()
-}
-
-// SetLimit bounds the log to the newest max events (0 removes the bound).
-// Events beyond the new bound are evicted immediately.
-func (l *Log) SetLimit(max int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ordered := l.orderedLocked()
-	if max > 0 && len(ordered) > max {
-		l.evicted += uint64(len(ordered) - max)
-		ordered = append([]Event(nil), ordered[len(ordered)-max:]...)
-	}
-	l.events = ordered
-	l.head = 0
-	l.limit = max
 }
 
 // Evicted returns how many events the bound has dropped so far.
 func (l *Log) Evicted() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.evicted
+	return l.ring.Dropped()
 }
 
 // KindCounts returns the cumulative event counts per (source, kind),
@@ -166,23 +130,7 @@ func (l *Log) Evicted() uint64 {
 func (l *Log) KindCounts() map[EventCountKey]uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make(map[EventCountKey]uint64, len(l.counts))
-	for k, v := range l.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// orderedLocked linearizes the (possibly wrapped) ring. Caller holds mu.
-func (l *Log) orderedLocked() []Event {
-	out := make([]Event, len(l.events))
-	if l.head > 0 {
-		n := copy(out, l.events[l.head:])
-		copy(out[n:], l.events[:l.head])
-	} else {
-		copy(out, l.events)
-	}
-	return out
+	return maps.Clone(l.counts)
 }
 
 // Record is a convenience wrapper building the Event in place.
@@ -194,77 +142,39 @@ func (l *Log) Record(t time.Time, source string, kind Kind, detail string) {
 func (l *Log) Events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.orderedLocked()
+	return l.ring.Last(0)
 }
 
-// Len returns the number of recorded events.
+// Len returns the number of retained events.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events)
+	return l.ring.Len()
 }
 
-// Subscribe returns a channel receiving future events. Subscribers that do
-// not keep up lose events (the managers must never block on tracing).
-// Release the channel with Unsubscribe when done.
-func (l *Log) Subscribe(buf int) <-chan Event {
-	if buf <= 0 {
-		buf = 64
-	}
-	ch := make(chan Event, buf)
-	l.mu.Lock()
-	l.subs = append(l.subs, ch)
-	l.mu.Unlock()
-	return ch
-}
-
-// Unsubscribe removes a channel returned by Subscribe and closes it, so
-// ranging consumers terminate and the log does not accumulate dead
-// subscribers. Unknown channels are ignored.
-func (l *Log) Unsubscribe(ch <-chan Event) {
+// filter returns the retained events keep accepts, in order.
+func (l *Log) filter(keep func(*Event) bool) []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i, s := range l.subs {
-		if (<-chan Event)(s) == ch {
-			l.subs = append(l.subs[:i], l.subs[i+1:]...)
-			close(s)
-			return
-		}
-	}
+	return l.ring.Filter(keep)
 }
 
 // BySource returns the events emitted by the named source, in order.
 func (l *Log) BySource(source string) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if e.Source == source {
-			out = append(out, e)
-		}
-	}
-	return out
+	return l.filter(func(e *Event) bool { return e.Source == source })
 }
 
 // ByKind returns the events of the given kind, in order.
 func (l *Log) ByKind(kind Kind) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
+	return l.filter(func(e *Event) bool { return e.Kind == kind })
 }
 
 // Count returns how many events of the given kind were emitted by source
 // (empty source matches all sources).
 func (l *Log) Count(source string, kind Kind) int {
-	n := 0
-	for _, e := range l.Events() {
-		if e.Kind == kind && (source == "" || e.Source == source) {
-			n++
-		}
-	}
-	return n
+	return len(l.filter(func(e *Event) bool {
+		return e.Kind == kind && (source == "" || e.Source == source)
+	}))
 }
 
 // FirstOf returns the first event of the given kind from source and true,

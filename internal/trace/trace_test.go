@@ -82,37 +82,6 @@ func TestKindSequenceCollapses(t *testing.T) {
 	}
 }
 
-func TestSubscribe(t *testing.T) {
-	l := NewLog()
-	ch := l.Subscribe(4)
-	l.Record(epoch, "AM_A", NewContr, "0.3-0.7")
-	select {
-	case e := <-ch:
-		if e.Kind != NewContr {
-			t.Fatalf("got %v", e.Kind)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("subscriber never received event")
-	}
-}
-
-func TestSubscribeSlowSubscriberDoesNotBlock(t *testing.T) {
-	l := NewLog()
-	l.Subscribe(1) // never drained
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 100; i++ {
-			l.Record(epoch, "AM_A", ContrLow, "")
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Add blocked on a slow subscriber")
-	}
-}
-
 func TestEventString(t *testing.T) {
 	e := Event{T: epoch, Source: "AM_F", Kind: AddWorker, Detail: "2->4"}
 	s := e.String()
