@@ -558,15 +558,19 @@ func BenchmarkFarmSaturationTraced(b *testing.B) {
 // The mixed case sends the repository benchmark's payload mix unbatched —
 // 256 B 90 %, 4 KiB 8 %, 16 KiB 2 % — so the size-classed envelope pools
 // are held to the same 0 allocs/op when payload sizes change from task to
-// task.
+// task. The plain case keeps the bindings on security.Plain, unbatched at
+// 256 B: the path whose decode the worker skips.
 func BenchmarkFarmDispatchSteadyState(b *testing.B) {
 	for _, batch := range []int{0, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			runSteadyState(b, batch, nil, fixedPayload)
+			runSteadyState(b, batch, nil, fixedPayload, true)
 		})
 	}
 	b.Run("mixed", func(b *testing.B) {
-		runSteadyState(b, 0, nil, mixedPayload)
+		runSteadyState(b, 0, nil, mixedPayload, true)
+	})
+	b.Run("plain", func(b *testing.B) {
+		runSteadyState(b, 0, nil, fixedPayload, false)
 	})
 }
 
@@ -598,12 +602,14 @@ func mixedPayload(id uint64) []byte {
 func BenchmarkFarmDispatchSteadyStateTraced(b *testing.B) {
 	for _, batch := range []int{0, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			runSteadyState(b, batch, telemetry.NewTaskTracer(1, 1024, 0), fixedPayload)
+			runSteadyState(b, batch, telemetry.NewTaskTracer(1, 1024, 0), fixedPayload, true)
 		})
 	}
 }
 
-func runSteadyState(b *testing.B, batch int, tracer *telemetry.TaskTracer, payload func(id uint64) []byte) {
+// runSteadyState drives the steady-state workload; aes rebinds every
+// worker onto AES-GCM, and without it the bindings stay security.Plain.
+func runSteadyState(b *testing.B, batch int, tracer *telemetry.TaskTracer, payload func(id uint64) []byte, aes bool) {
 	f, err := skel.NewFarm(skel.FarmConfig{
 		Name: "steady", Env: skel.Env{TimeScale: 1}, RM: grid.NewSMP(8).RM,
 		InitialWorkers: 4, DispatchBatch: batch, Tracer: tracer,
@@ -629,10 +635,12 @@ func runSteadyState(b *testing.B, batch int, tracer *telemetry.TaskTracer, paylo
 		}
 		time.Sleep(time.Millisecond)
 	}
-	key := security.NewRandomKey()
-	for _, w := range f.Workers() {
-		if err := f.SetCodec(w.ID, security.MustAESGCM(key, nil, 0)); err != nil {
-			b.Fatal(err)
+	if aes {
+		key := security.NewRandomKey()
+		for _, w := range f.Workers() {
+			if err := f.SetCodec(w.ID, security.MustAESGCM(key, nil, 0)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	// Warm the pools: envelopes, wire buffers, queue rings — and with a

@@ -55,8 +55,8 @@ type FarmAppConfig struct {
 	// chaos soak uses it for exactly-once accounting.
 	SinkFn skel.Fn
 	// ChargeLinkLatency makes the farm charge each task the latency of
-	// the link between the platform's first domain (where dispatcher and
-	// collector live) and the worker's domain, so inter-domain link
+	// the link between the platform's first domain (where the dispatcher
+	// lives) and the worker's domain, so inter-domain link
 	// degradation becomes observable to the managers. Default off.
 	ChargeLinkLatency bool
 

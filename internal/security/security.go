@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/grid"
@@ -298,12 +299,13 @@ func (p Policy) RequireSecure(a, b *grid.Node) bool {
 // Auditor observes every message crossing bindings and counts plaintext
 // exposures on connections that the policy says must be secure. A correct
 // multi-concern protocol keeps Leaks() at zero; the naive protocol of the
-// EXT-SEC experiment does not.
+// EXT-SEC experiment does not. The counters are atomic, so recording a send
+// takes no lock; only a leak, which also updates the per-endpoint map, does.
 type Auditor struct {
+	total    atomic.Uint64
+	secured  atomic.Uint64
+	leaks    atomic.Uint64
 	mu       sync.Mutex
-	total    uint64
-	secured  uint64
-	leaks    uint64
 	byworker map[string]uint64
 }
 
@@ -314,39 +316,33 @@ func NewAuditor() *Auditor { return &Auditor{byworker: map[string]uint64{}} }
 // policy verdict for the binding and wasSecure whether the message was
 // actually encrypted.
 func (a *Auditor) RecordSend(endpoint string, mustSecure, wasSecure bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.total++
+	a.RecordSends(endpoint, 1, mustSecure, wasSecure)
+}
+
+// RecordSends registers n messages sent to endpoint under one verdict, as
+// RecordSend n times would: a batch envelope's members share one binding.
+func (a *Auditor) RecordSends(endpoint string, n int, mustSecure, wasSecure bool) {
+	a.total.Add(uint64(n))
 	if wasSecure {
-		a.secured++
+		a.secured.Add(uint64(n))
 	}
 	if mustSecure && !wasSecure {
-		a.leaks++
-		a.byworker[endpoint]++
+		a.mu.Lock()
+		a.leaks.Add(uint64(n))
+		a.byworker[endpoint] += uint64(n)
+		a.mu.Unlock()
 	}
 }
 
 // Total returns the number of messages observed.
-func (a *Auditor) Total() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total
-}
+func (a *Auditor) Total() uint64 { return a.total.Load() }
 
 // Secured returns the number of encrypted messages observed.
-func (a *Auditor) Secured() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.secured
-}
+func (a *Auditor) Secured() uint64 { return a.secured.Load() }
 
 // Leaks returns the number of plaintext messages that crossed links the
 // policy required to be secure.
-func (a *Auditor) Leaks() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.leaks
-}
+func (a *Auditor) Leaks() uint64 { return a.leaks.Load() }
 
 // LeaksAt returns the number of leaks recorded towards a given endpoint.
 func (a *Auditor) LeaksAt(endpoint string) uint64 {

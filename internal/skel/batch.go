@@ -12,11 +12,11 @@ import (
 
 // This file implements the farm's dispatch hot path. The dispatcher routes
 // every task through decideTarget and coalesces up to DispatchBatch tasks
-// per worker into one sealed envelope — one codec seal, one queue push and
-// one result-channel hop per envelope — with a flush-on-idle deadline
-// bounding latency under trickle load. An unbatched farm is the
-// DispatchBatch 1 case of the same path: each task flushes as a one-task
-// envelope the moment it is routed, and the deadline never arms.
+// per worker into one sealed envelope — one codec seal and one queue push
+// per envelope — with a flush-on-idle deadline bounding latency under
+// trickle load. An unbatched farm is the DispatchBatch 1 case of the same
+// path: each task flushes as a one-task envelope the moment it is routed,
+// and the deadline never arms.
 //
 // Envelope blob layout (plaintext; the whole blob is then sealed once by
 // the binding codec):
@@ -400,7 +400,7 @@ func (d *dispatcher) flush(i int, sp *telemetry.Span) {
 // sampleBatch draws every member's sampling decision (so sampled/skipped
 // counts are invariant under the batching knob) and roots the envelope's
 // one span at the first sampled member; the rest fan out as member spans
-// when the envelope is collected. Stage semantics for a batch span: enqueue
+// when the envelope is emitted. Stage semantics for a batch span: enqueue
 // covers the root member's buffering wait, route is folded into it (target
 // selection ran per member, before the span existed), and the remaining
 // stages are envelope-level.
@@ -426,7 +426,7 @@ func (f *Farm) sampleBatch(tasks []*Task) *telemetry.Span {
 // blob in *scratch (the caller's reusable pack buffer) and seals the blob
 // under codec into a pooled envelope from the class of its sealed size.
 // w, when non-nil, is the worker the envelope is addressed to: the seal is
-// timed, sp is stamped, and one audit record is written per member — leak
+// timed, sp is stamped, and every member is audited in one record — leak
 // accounting stays invariant under the batching knob. Splitting a batch
 // for redistribution passes a nil w: its members were audited when they
 // were first sent. It returns nil after reporting an encode error.
@@ -473,9 +473,7 @@ func (f *Farm) sealEnvelope(w *worker, codec security.Codec, tasks []*Task, sp *
 		if f.cfg.Policy != nil {
 			must = f.cfg.Policy.RequireSecure(f.cfg.DispatchNode, w.node)
 		}
-		for range tasks {
-			f.cfg.Auditor.RecordSend(w.id, must, codec.Secure())
-		}
+		f.cfg.Auditor.RecordSends(w.id, len(tasks), must, codec.Secure())
 	}
 	return env
 }

@@ -36,8 +36,9 @@ var (
 	ErrNoWorker    = errors.New("skel: no such worker")
 )
 
-// CollectPolicy selects how the farm's collector (the C component of
-// Fig. 2) assembles worker results into the output stream.
+// CollectPolicy selects how the farm's C component of Fig. 2 assembles
+// worker results into the output stream. C runs on the workers: each
+// emits the results it just computed (see Farm.emit).
 type CollectPolicy int
 
 // Collect policies of the functional replication pattern.
@@ -47,7 +48,8 @@ const (
 	Gather CollectPolicy = iota
 	// Reduce folds all results into a single output task emitted at end
 	// of stream, using FarmConfig.Reduce (which must be associative and
-	// commutative, since completion order is nondeterministic).
+	// commutative, since completion order is nondeterministic). It is
+	// called under a lock, never concurrently with itself.
 	Reduce
 )
 
@@ -75,26 +77,24 @@ type FarmConfig struct {
 	InitialWorkers int
 	// Dispatch selects the scheduling policy (default OnDemand).
 	Dispatch DispatchPolicy
-	// DispatchNode is where the dispatcher/collector run; it anchors the
+	// DispatchNode is where the dispatcher runs; it anchors the
 	// security policy's link checks. Optional.
 	DispatchNode *grid.Node
 	// Policy and Auditor hook the security substrate into the farm's
 	// bindings. Optional; with a nil Policy no send requires securing.
 	Policy  *security.Policy
 	Auditor *security.Auditor
-	// Collect selects the collector behaviour (default Gather). With
-	// Reduce, the Reduce function folds result payloads pairwise.
+	// Collect selects how results reach the output stream (default
+	// Gather); with Reduce, the Reduce function folds payloads pairwise.
 	Collect CollectPolicy
 	Reduce  ReduceFn
 	// WorkOverride, when positive, makes every task cost this much in the
 	// farm regardless of the task's own Work.
 	WorkOverride time.Duration
-	// OutBuffer sizes the internal result channel (default 64).
-	OutBuffer int
 	// Instruments receives dispatch/seal latency observations. Optional.
 	Instruments *FarmInstruments
 	// Network and HomeDomain, when both set, charge every task the latency
-	// of the link between HomeDomain (where dispatcher and collector run)
+	// of the link between HomeDomain (where the dispatcher runs)
 	// and the worker's domain, on top of the task's service time. Optional;
 	// it makes link degradation between domains observable to the managers.
 	// The charge applies to loopback workers only: remote workers pay the
@@ -110,10 +110,10 @@ type FarmConfig struct {
 	// The zero value admits every worker.
 	Selector Selector
 	// DispatchBatch is the most tasks the dispatcher coalesces per worker
-	// into one sealed envelope: one codec seal, one queue push and one
-	// result-channel hop per envelope instead of per task. Target selection
-	// still runs per task through the unified decision path, so routing
-	// semantics do not depend on it; only the envelope granularity changes.
+	// into one sealed envelope: one codec seal and one queue push per
+	// envelope instead of per task. Target selection still runs per task
+	// through the unified decision path, so routing semantics do not
+	// depend on it; only the envelope granularity changes.
 	// 0 or 1 (the default) sends every task as a one-task envelope through
 	// the same path, with no flush deadline.
 	DispatchBatch int
@@ -144,8 +144,8 @@ const defaultBatchFlush = 500 * time.Microsecond
 // time. Envelopes are pooled: the hot path recycles them (and their wire
 // buffers) through the size-classed envelope pools, so steady-state
 // dispatch allocates nothing. Ownership is linear — an envelope is held by
-// exactly one of: a queue, a worker's compute step, the results channel,
-// or the collector; whoever drops it calls putEnv.
+// exactly one of: the dispatcher, a queue, or a worker's compute-and-emit
+// step; whoever drops it calls putEnv (a delivered envelope: Farm.emit).
 type envelope struct {
 	// tasks are the member tasks, in wire order. Member payloads stay
 	// plaintext here (compute replaces them only after a decode), so
@@ -155,13 +155,12 @@ type envelope struct {
 	// wire is the sealed envelope blob (see batch.go for its layout).
 	wire  []byte
 	codec security.Codec
-	// out collects the completed result tasks of one compute step; the
-	// collector consumes it, so one envelope is one channel hop however
-	// many tasks it carried.
+	// out collects the completed result tasks of one compute step, which
+	// the worker then emits.
 	out []*Task
 	// span is the envelope's sampled trace record, nil for the unsampled
 	// (overwhelming) majority. Ownership rides with the envelope: the
-	// goroutine currently holding the envelope stamps stages; the collector
+	// goroutine currently holding the envelope stamps stages; the emit
 	// (or a fault path) publishes and detaches it.
 	span *telemetry.Span
 }
@@ -288,10 +287,10 @@ func (w *worker) closeExec() {
 	}
 }
 
-// Farm is the task-farm skeleton: a dispatcher, a reconfigurable pool of
-// workers with private queues, and a collector. It implements Stage and
-// exposes the actuator surface used by the ABC: AddWorker, RemoveWorker,
-// Rebalance, SetCodec.
+// Farm is the task-farm skeleton: a dispatcher and a reconfigurable pool of
+// workers with private queues, each worker acting as its own collector. It
+// implements Stage and exposes the actuator surface used by the ABC:
+// AddWorker, RemoveWorker, Rebalance, SetCodec.
 type Farm struct {
 	cfg FarmConfig
 	env Env
@@ -301,7 +300,6 @@ type Farm struct {
 	nextID        int
 	inputDone     bool
 	active        int // workers whose goroutine is still running
-	started       bool
 	resultsClosed bool
 
 	// pending parks accepted tasks that momentarily have no live worker to
@@ -326,8 +324,14 @@ type Farm struct {
 	// park flushes, batch splits); the dispatcher has its own.
 	sealBuf []byte
 
-	results chan *envelope
-	wgOut   sync.WaitGroup // collector completion
+	// out is Run's output stream, set before any task can reach a worker;
+	// workers send their results on it directly. done closes with the
+	// result stream (maybeCloseResultsLocked): no worker is left to emit.
+	out  chan<- *Task
+	done chan struct{}
+	// accMu guards acc, the Reduce fold the workers emit into.
+	accMu sync.Mutex
+	acc   *Task
 
 	arrival     *metrics.RateMeter
 	departure   *metrics.RateMeter
@@ -372,9 +376,6 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	if cfg.InitialWorkers <= 0 {
 		cfg.InitialWorkers = 1
 	}
-	if cfg.OutBuffer <= 0 {
-		cfg.OutBuffer = 64
-	}
 	if cfg.Collect == Reduce && cfg.Reduce == nil {
 		return nil, errors.New("skel: Reduce collection needs a Reduce function")
 	}
@@ -391,7 +392,7 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	f := &Farm{
 		cfg:       cfg,
 		env:       env,
-		results:   make(chan *envelope, cfg.OutBuffer),
+		done:      make(chan struct{}),
 		arrival:   metrics.NewRateMeter(env.clock(), rateWindow(env)),
 		departure: metrics.NewRateMeter(env.clock(), rateWindow(env)),
 		errs:      make(chan error, 16),
@@ -418,12 +419,13 @@ func (f *Farm) Name() string { return f.cfg.Name }
 func (f *Farm) OnEvent(fn func()) (cancel func()) { return f.hooks.subscribe(fn) }
 
 // Run implements Stage: it recruits the initial workers, dispatches the
-// input stream and blocks until every result has been collected. The farm
+// input stream and blocks until every result has been delivered. The farm
 // drains on cancel: it dispatches until its input closes, then lets the
-// workers finish their queues.
+// workers finish their queues. Workers send on out directly, so a slow
+// consumer holds them back with no buffer in between.
 func (f *Farm) Run(_ context.Context, in <-chan *Task, out chan<- *Task) {
 	f.mu.Lock()
-	f.started = true
+	f.out = out
 	f.mu.Unlock()
 	for i := 0; i < f.cfg.InitialWorkers; i++ {
 		if _, err := f.AddWorker(); err != nil {
@@ -431,51 +433,41 @@ func (f *Farm) Run(_ context.Context, in <-chan *Task, out chan<- *Task) {
 			break
 		}
 	}
-	// Collector: forward (gather) or fold (reduce) results, metering
-	// departures either way. One envelope is one channel hop carrying all
-	// of its batch's results; the envelope is recycled here.
-	f.wgOut.Add(1)
-	go func() {
-		defer f.wgOut.Done()
-		if f.cfg.Collect == Reduce {
-			var acc *Task
-			for env := range f.results {
-				f.departure.MarkN(len(env.out))
-				f.collectSpan(env)
-				for _, t := range env.out {
-					if acc == nil {
-						acc = t
-					} else {
-						acc.Payload = f.cfg.Reduce(acc.Payload, t.Payload)
-					}
-				}
-				putEnv(env)
-			}
-			if out != nil {
-				if acc != nil {
-					out <- acc
-				}
-				close(out)
-			}
-			return
-		}
-		for env := range f.results {
-			f.departure.MarkN(len(env.out))
-			f.collectSpan(env)
-			for _, t := range env.out {
-				if out != nil {
-					out <- t
-				}
-			}
-			putEnv(env)
-		}
-		if out != nil {
-			close(out)
-		}
-	}()
 	f.newDispatcher().run(in)
 	f.endInput()
-	f.wgOut.Wait()
+	<-f.done
+	// Every worker has exited, so no emit is in flight and acc is final.
+	if out != nil {
+		if f.acc != nil {
+			out <- f.acc
+		}
+		close(out)
+	}
+}
+
+// emit is the C component of Fig. 2, run by the worker that computed env:
+// it meters the departures, finishes the span, and forwards every result
+// to the output stream, or under Reduce folds it into the accumulator
+// that Run emits at end of stream. It recycles env.
+func (f *Farm) emit(env *envelope) {
+	f.departure.MarkN(len(env.out))
+	f.collectSpan(env)
+	if f.cfg.Collect == Reduce {
+		f.accMu.Lock()
+		for _, t := range env.out {
+			if f.acc == nil {
+				f.acc = t
+			} else {
+				f.acc.Payload = f.cfg.Reduce(f.acc.Payload, t.Payload)
+			}
+		}
+		f.accMu.Unlock()
+	} else if f.out != nil {
+		for _, t := range env.out {
+			f.out <- t
+		}
+	}
+	putEnv(env)
 }
 
 // faultSpan publishes a partial span annotated with the fault that cut its
@@ -491,8 +483,8 @@ func (f *Farm) faultSpan(sp *telemetry.Span, kind string) {
 	f.cfg.Tracer.Publish(sp)
 }
 
-// collectSpan finishes a collected envelope's span: the result stage ends
-// at the collector, one member span fans out per co-sampled member task
+// collectSpan finishes an emitted envelope's span: the result stage ends
+// at the worker's emit, one member span fans out per co-sampled member task
 // other than the root, and the envelope span publishes into the ring and
 // the stage histograms.
 func (f *Farm) collectSpan(env *envelope) {
@@ -598,10 +590,10 @@ func (f *Farm) endInput() {
 	f.hooks.fire() // endStream edge: wake the managers immediately
 }
 
-// maybeCloseResultsLocked closes the result stream once no worker is
-// running, the input is exhausted AND no crashed worker still strands
-// accepted tasks (those must be recovered, not dropped). Callers hold
-// f.mu.
+// maybeCloseResultsLocked ends the result stream (closes done, which lets
+// Run close out) once no worker is running, the input is exhausted AND no
+// crashed worker still strands accepted tasks (those must be recovered,
+// not dropped). Callers hold f.mu.
 func (f *Farm) maybeCloseResultsLocked() {
 	if f.active != 0 || !f.inputDone || f.resultsClosed {
 		return
@@ -613,7 +605,7 @@ func (f *Farm) maybeCloseResultsLocked() {
 		return // stranded tasks: wait for RecoverWorker
 	}
 	f.resultsClosed = true
-	close(f.results)
+	close(f.done)
 }
 
 // strandedLocked reports whether a crashed worker in the pool still holds
@@ -687,7 +679,7 @@ func (f *Farm) runWorker(w *worker) {
 		}
 		if n := len(env.out); n > 0 {
 			w.served.Add(uint64(n))
-			f.results <- env
+			f.emit(env)
 		} else {
 			putEnv(env)
 		}
@@ -721,15 +713,19 @@ func (f *Farm) computeLocal(w *worker, env *envelope) (crashed bool) {
 	// reproduces them bit for bit), so the decoded copy lands in a
 	// worker-owned reusable buffer instead of escaping as a fresh
 	// allocation per envelope. That buffer is what keeps steady-state
-	// loopback dispatch at zero allocations per task.
-	plain, err := security.AppendDecode(env.codec, w.plainBuf[:0], env.wire)
-	if err != nil {
-		f.faultSpan(env.span, "decode")
-		env.span = nil
-		f.reportErr(fmt.Errorf("skel: farm %s worker %s decode: %w", f.cfg.Name, w.id, err))
-		return false
+	// loopback dispatch at zero allocations per task. A Plain envelope
+	// skips the decode: it would be a copy that cannot fail, authenticates
+	// nothing and is thrown away.
+	if _, isPlain := env.codec.(security.Plain); !isPlain {
+		plain, err := security.AppendDecode(env.codec, w.plainBuf[:0], env.wire)
+		if err != nil {
+			f.faultSpan(env.span, "decode")
+			env.span = nil
+			f.reportErr(fmt.Errorf("skel: farm %s worker %s decode: %w", f.cfg.Name, w.id, err))
+			return false
+		}
+		w.plainBuf = ReuseBuffer(plain)
 	}
-	w.plainBuf = ReuseBuffer(plain)
 	if sp := env.span; sp != nil {
 		// Loopback: reseal is the envelope decode, exec the member loop, and
 		// the wire stage stays zero — no machine boundary was crossed.
@@ -951,8 +947,7 @@ func (f *Farm) AddWorkerWithPrepare(prepare PrepareFunc) (string, error) {
 // Once the run has completed — the result stream is closed, meaning no
 // stranded task can remain — it returns ErrStreamEnded: a worker recruited
 // then would block forever on an open empty queue (goroutine + node leak)
-// and any task later restored into it would be sent on the closed results
-// channel.
+// and any result it computed would be sent on the closed output stream.
 func (f *Farm) AddRecoveryWorker() (string, error) {
 	return f.AddRecoveryWorkerWithPrepare(nil)
 }

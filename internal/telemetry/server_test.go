@@ -97,8 +97,9 @@ func TestServerSpans(t *testing.T) {
 		}
 	}
 
-	// No match is an empty JSON list, never null.
-	for _, path := range []string{"/spans?trace=1", "/spans?cause=99"} {
+	// No match is an empty JSON list, never null. Cause 0 is "no cause":
+	// it matches no span, not every unattributed one, as on /trace.
+	for _, path := range []string{"/spans?trace=1", "/spans?cause=99", "/spans?cause=0"} {
 		if code, body, _ := get(path); code != 200 || strings.TrimSpace(body) != "[]" {
 			t.Errorf("%s = %d %q, want 200 []", path, code, body)
 		}

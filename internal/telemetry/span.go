@@ -44,7 +44,8 @@ const (
 	StageExec
 	// StageReseal: result decode (and batch result validation).
 	StageReseal
-	// StageResult: result-channel hop from worker emit to collector.
+	// StageResult: from the end of the compute stages to the worker's
+	// emit.
 	StageResult
 
 	// NumStages is the length of a span's stage vector.
@@ -118,7 +119,7 @@ type Span struct {
 	// Fault annotates the chaos or transport fault that hit this envelope
 	// ("" for a clean run); faulted spans publish immediately with the
 	// stages accumulated so far, because the envelope strands for recovery
-	// and never reaches the collector.
+	// and never reaches the emit.
 	Fault string
 	// Start is the process-local wall-clock origin in Unix nanoseconds.
 	// It orders spans within one process only; never compare it across
@@ -413,8 +414,12 @@ func (r *SpanRing) ByTrace(traceID uint64) []Span {
 }
 
 // ByCause returns every retained span attached to the given violation
-// cause id, oldest first.
+// cause id, oldest first. Cause 0 means "no cause", so, like
+// Tracer.ByCause, it matches nothing.
 func (r *SpanRing) ByCause(cause uint64) []Span {
+	if cause == 0 {
+		return nil
+	}
 	return r.filter(func(sp *Span) bool { return sp.Cause == cause })
 }
 
