@@ -58,7 +58,7 @@ var registry = []experiment{
 				return err
 			}
 			dumpTimeline(*timeline, res.Log)
-			return writeCSV(*csv, o.Scale, res.Throughput, res.Workers, res.Cores)
+			return writeCSV(*csv, res.Throughput, res.Workers, res.Cores)
 		}
 	}},
 	{"fig4", "Fig. 4: AM_A/AM_P/AM_F/AM_C keep a pipeline in 0.3-0.7 tasks/s", func() runner {
@@ -82,7 +82,7 @@ var registry = []experiment{
 				return err
 			}
 			dumpTimeline(*timeline, res.Log)
-			return writeCSV(*csv, o.Scale, res.Throughput, res.InputRate, res.Workers, res.Cores)
+			return writeCSV(*csv, res.Throughput, res.InputRate, res.Workers, res.Cores)
 		}
 	}},
 	{"extload", "EXT-LOAD: external load on worker cores, the AM adds workers",
@@ -202,7 +202,7 @@ func dumpTimeline(on bool, log *trace.Log) {
 	}
 }
 
-func writeCSV(path string, scale float64, series ...*metrics.Series) error {
+func writeCSV(path string, series ...*metrics.Series) error {
 	if path == "" {
 		return nil
 	}
@@ -210,7 +210,7 @@ func writeCSV(path string, scale float64, series ...*metrics.Series) error {
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteSeriesCSV(f, scale, series...); err != nil {
+	if err := trace.WriteSeriesCSV(f, series...); err != nil {
 		f.Close()
 		return err
 	}
@@ -268,7 +268,7 @@ func usage() {
 func application() runner {
 	expr := flag.String("expr", "farm(seq)", "skeleton expression")
 	contractSpec := flag.String("contract", "throughput>=0.6", "SLA contract")
-	scale := flag.Float64("scale", 200, "time scale")
+	scale := flag.Float64("scale", 200, "time scale: how many modelled seconds per wall-clock second")
 	tasks := flag.Int("tasks", 150, "stream length")
 	cores := flag.Int("cores", 12, "platform core count")
 	work := flag.Duration("work", 5*time.Second, "per-task nominal service time (modelled)")
@@ -280,7 +280,7 @@ func application() runner {
 		if err != nil {
 			return err
 		}
-		env := skel.Env{Clock: simclock.NewReal(), TimeScale: *scale}
+		env := skel.Env{Clock: simclock.NewScaledReal(*scale)}
 
 		farmCfg := core.FarmAppConfig{
 			Env: env, Platform: grid.NewSMP(*cores), Tasks: *tasks,

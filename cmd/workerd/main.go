@@ -5,7 +5,8 @@
 // the link's pre-shared master key, then executes sealed task envelopes:
 // binding codecs arrive in rekey frames (key material never crosses in
 // clear), payloads are opened with the epoch codec they were sealed under,
-// the modelled work is slept at -scale, and the result returns under the
+// the modelled work is slept on a clock -scale times faster than the wall
+// clock (-scale 0 sleeps none), and the result returns under the
 // same seal. Unauthenticated or malformed frames cut the connection:
 // fail-secure, never fail-open.
 //
@@ -64,7 +65,7 @@ func main() {
 	cores := flag.Int("cores", 2, "core slots advertised in the handshake")
 	speed := flag.Float64("speed", 1.0, "relative core speed advertised in the handshake")
 	labels := flag.String("labels", "", "comma-separated k=v placement labels advertised in the handshake")
-	scale := flag.Float64("scale", 200, "time scale dividing the modelled work carried by exec frames")
+	scale := flag.Float64("scale", 200, "time scale: modelled seconds of exec-frame work slept per wall-clock second (0 = sleep no work)")
 	traceSpans := flag.Bool("trace-spans", true, "record a workerd-side span for exec frames the coordinator sampled")
 	parent := flag.String("parent", "", "coordinator management-plane address (-mgmt): run a local manager reporting over a RemoteLink")
 	catchup := flag.String("catchup", "latest", "downtime catch-up policy after a partition heals: skip, latest or all")
@@ -93,6 +94,10 @@ func main() {
 		// records what arrives already sampled.
 		tracer = telemetry.NewTaskTracer(0, 1, 0)
 	}
+	var work simclock.Clock // nil: -scale 0 sleeps no work
+	if *scale > 0 {
+		work = simclock.NewScaledReal(*scale)
+	}
 	nodeName := *name
 	srv, err := wire.NewServer(wire.ServerConfig{
 		PSK: wire.DerivePSK(*psk),
@@ -104,7 +109,7 @@ func main() {
 			Speed:   *speed,
 			Labels:  labelMap,
 		},
-		TimeScale:   *scale,
+		Clock:       work,
 		Log:         log.New(os.Stderr, "workerd: ", log.LstdFlags),
 		Instruments: farmIns,
 		Tracer:      tracer,

@@ -61,9 +61,7 @@ type Guard struct {
 // NewGuard wraps inner. The zero GuardConfig yields retry-only guarding
 // with the default backoff and no deadline.
 func NewGuard(inner Controller, cfg GuardConfig) *Guard {
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.NewReal()
-	}
+	cfg.Clock = simclock.Or(cfg.Clock)
 	if cfg.Backoff.Clock == nil {
 		cfg.Backoff.Clock = cfg.Clock
 	}

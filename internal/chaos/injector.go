@@ -39,9 +39,9 @@ type Targets struct {
 	// Network plus the LinkA–LinkB domain pair locate the link to degrade.
 	Network      *grid.Network
 	LinkA, LinkB string
-	// Env supplies the clock and time scale that turn the plan's modelled
-	// times into wall time.
-	Env skel.Env
+	// Clock is the clock the plan's modelled times run on, the managers'
+	// (nil: the wall clock).
+	Clock simclock.Clock
 	// Log, when set, records every applied fault (source "CHAOS").
 	Log *trace.Log
 	// Health reports whether the system currently meets its contract; it
@@ -57,8 +57,8 @@ type Targets struct {
 	// Managers are the management-plane victims of the manager fault
 	// kinds. Victims are picked round-robin in slice order across all
 	// manager events, so coverage is deterministic per plan: list them in
-	// a fixed order. Durations passed to the closures are modelled time;
-	// the closures scale them onto their manager's clock.
+	// a fixed order. Durations passed to the closures are modelled time,
+	// the time of the managers' clock.
 	Managers []ManagerTarget
 	// Remote binds the cross-process dispatch plane's link as a victim of
 	// the remote fault kinds. Nil (the loopback default) skips them.
@@ -72,8 +72,8 @@ type Targets struct {
 // RemoteTarget binds a remote dispatch link (an internal/wire.Factory in
 // practice, expressed as closures so chaos stays transport-agnostic) as a
 // chaos victim. Durations passed to the closures are WALL time: the wire
-// plane runs on real connections, so the injector converts the plan's
-// modelled windows before calling.
+// plane runs on real connections, so the injector hands it the plan's
+// modelled windows through simclock.BaseDuration.
 type RemoteTarget struct {
 	Name string
 	// Drop severs every live framed connection now; returns how many died.
@@ -85,9 +85,8 @@ type RemoteTarget struct {
 }
 
 // MgrLinkTarget binds a remote management link as a chaos victim.
-// Durations passed to Partition are WALL time, like RemoteTarget's: the
-// link's lease machinery runs on its own clock, so the injector converts
-// the plan's modelled windows before calling.
+// Durations passed to Partition are modelled time: the link's lease
+// machinery runs on the managers' clock, which is the injector's.
 type MgrLinkTarget struct {
 	Name string
 	// Partition makes every management exchange fail for the window; the
@@ -165,10 +164,7 @@ func NewInjector(t Targets) *Injector {
 	if t.MaxRecover <= 0 {
 		t.MaxRecover = 60 * time.Second
 	}
-	in := &Injector{t: t, clock: t.Env.Clock, closed: make(chan struct{})}
-	if in.clock == nil {
-		in.clock = simclock.NewReal()
-	}
+	in := &Injector{t: t, clock: simclock.Or(t.Clock), closed: make(chan struct{})}
 	if t.Farm != nil {
 		t.Farm.SetWorkerFault(in.workerFault)
 	}
@@ -220,21 +216,9 @@ func (in *Injector) nextManager() *ManagerTarget {
 	return t
 }
 
-// real converts a modelled duration to wall time under the env time scale.
-func (in *Injector) real(d time.Duration) time.Duration {
-	scale := in.t.Env.TimeScale
-	if scale <= 0 {
-		scale = 1
-	}
-	out := time.Duration(float64(d) / scale)
-	if out <= 0 {
-		out = time.Nanosecond
-	}
-	return out
-}
-
-// takeOne atomically consumes one pending one-shot fault.
-func takeOne(c *atomic.Int32) bool {
+// TakeOne atomically consumes one pending one-shot fault from c, reporting
+// whether there was one. Fault hooks outside the injector share it.
+func TakeOne(c *atomic.Int32) bool {
 	for {
 		v := c.Load()
 		if v <= 0 {
@@ -248,10 +232,10 @@ func takeOne(c *atomic.Int32) bool {
 
 // workerFault is the farm's per-task hook.
 func (in *Injector) workerFault(string, *skel.Task) skel.WorkerFault {
-	if takeOne(&in.pendingPanics) {
+	if TakeOne(&in.pendingPanics) {
 		return skel.WorkerFault{Panic: true}
 	}
-	if takeOne(&in.pendingStalls) {
+	if TakeOne(&in.pendingStalls) {
 		return skel.WorkerFault{Stall: time.Duration(in.stallDur.Load())}
 	}
 	return skel.WorkerFault{}
@@ -265,7 +249,7 @@ func (in *Injector) execFault(op string) error {
 		return fmt.Errorf("%w: %s", ErrInjectedActuator, op)
 	}
 	if now < in.actSlowUntil.Load() {
-		in.t.Env.SleepScaled(time.Duration(in.actDelay.Load()))
+		in.clock.Sleep(time.Duration(in.actDelay.Load()))
 	}
 	return nil
 }
@@ -286,7 +270,7 @@ func (in *Injector) recruitFault(grid.Request) error {
 
 // openWindow extends the given fault window to now + modelled d.
 func (in *Injector) openWindow(w *atomic.Int64, d time.Duration) {
-	until := in.clock.Now().Add(in.real(d)).UnixNano()
+	until := in.clock.Now().Add(d).UnixNano()
 	for {
 		cur := w.Load()
 		if cur >= until || w.CompareAndSwap(cur, until) {
@@ -303,7 +287,7 @@ func (in *Injector) after(d time.Duration, fn func()) {
 		defer in.wg.Done()
 		select {
 		case <-in.closed:
-		case <-in.clock.After(in.real(d)):
+		case <-in.clock.After(d):
 		}
 		fn()
 	}()
@@ -447,19 +431,19 @@ func (in *Injector) apply(ev Event) bool {
 			return false
 		}
 		lat := time.Duration(ev.Param * float64(time.Millisecond))
-		in.t.Remote.Delay(lat, in.real(ev.Dur))
+		in.t.Remote.Delay(lat, simclock.BaseDuration(in.clock, ev.Dur))
 		in.record(ev, fmt.Sprintf("%s +%.0fms for %v", in.t.Remote.Name, ev.Param, ev.Dur))
 	case RemotePartition:
 		if in.t.Remote == nil || in.t.Remote.Partition == nil {
 			return false
 		}
-		in.t.Remote.Partition(in.real(ev.Dur))
+		in.t.Remote.Partition(simclock.BaseDuration(in.clock, ev.Dur))
 		in.record(ev, fmt.Sprintf("%s partitioned %v", in.t.Remote.Name, ev.Dur))
 	case ManagerPartition:
 		if in.t.MgrLink == nil || in.t.MgrLink.Partition == nil {
 			return false
 		}
-		in.t.MgrLink.Partition(in.real(ev.Dur))
+		in.t.MgrLink.Partition(ev.Dur)
 		in.record(ev, fmt.Sprintf("%s partitioned %v", in.t.MgrLink.Name, ev.Dur))
 	case ManagerLinkDrop:
 		if in.t.MgrLink == nil || in.t.MgrLink.Drop == nil {
@@ -532,7 +516,7 @@ func (in *Injector) sleep(ctx context.Context, d time.Duration) bool {
 	select {
 	case <-ctx.Done():
 		return false
-	case <-in.clock.After(in.real(d)):
+	case <-in.clock.After(d):
 		return true
 	}
 }

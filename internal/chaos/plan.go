@@ -10,7 +10,7 @@
 // Everything about a storm derives from its seed: the same seed always
 // yields the same Plan, byte for byte, so any failure found under chaos
 // replays exactly. Fault magnitudes and times are expressed in modelled
-// time (the skel.Env time scale), keeping schedules identical across
+// time (the time of skel.Env.Clock), keeping schedules identical across
 // machines of different speeds.
 package chaos
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/runtime"
 	"repro/internal/security"
+	"repro/internal/simclock"
 	"repro/internal/skel"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -79,11 +80,12 @@ type App struct {
 	// telemetry plane read restart counts and causes from it.
 	Supervisors map[string]*runtime.Supervisor
 
-	// SamplePeriod is the sampling period of the result series in clock
-	// time (already scaled). Default 50ms.
+	// SamplePeriod is the sampling period of the result series, in
+	// modelled time on Env.Clock. Default 500ms, the builders' default.
 	SamplePeriod time.Duration
-	// Grace is how long to keep managers running after the sink finishes,
-	// letting end-of-stream events (rebalance, endStream) surface.
+	// Grace is how long (modelled) to keep managers running after the sink
+	// finishes, letting end-of-stream events (rebalance, endStream)
+	// surface.
 	Grace time.Duration
 
 	stages        []skel.Stage
@@ -151,12 +153,9 @@ func (a *App) RunContext(ctx context.Context) (*Result, error) {
 	}
 	sample := a.SamplePeriod
 	if sample <= 0 {
-		sample = 50 * time.Millisecond
+		sample = 500 * time.Millisecond
 	}
-	clock := a.Env.Clock
-	if clock == nil {
-		return nil, errors.New("core: application needs a clock")
-	}
+	clock := simclock.Or(a.Env.Clock)
 
 	res := &Result{
 		Log:        a.Log,

@@ -96,9 +96,9 @@ type FarmAppConfig struct {
 	// contract).
 	Contract contract.Contract
 
-	// Period is the manager control-loop period in modelled time
-	// (default 1s); SamplePeriod the series sampling period (default
-	// 0.5s modelled).
+	// Period is the control-loop period of AM_F and of the GM in
+	// modelled time (default 1s); SamplePeriod the series sampling period
+	// (default 0.5s modelled).
 	Period       time.Duration
 	SamplePeriod time.Duration
 	// WarmUp suppresses manager rule firing for this long (modelled)
@@ -189,21 +189,19 @@ func (cfg *FarmAppConfig) normalize() error {
 	if cfg.SamplePeriod <= 0 {
 		cfg.SamplePeriod = 500 * time.Millisecond
 	}
+	if cfg.SecurityPeriod <= 0 {
+		cfg.SecurityPeriod = cfg.Period
+	}
+	if cfg.FaultPeriod <= 0 {
+		cfg.FaultPeriod = cfg.Period / 2
+	}
+	if cfg.MigrationPeriod <= 0 {
+		cfg.MigrationPeriod = cfg.Period / 2
+	}
+	if cfg.ActuatorTimeout <= 0 {
+		cfg.ActuatorTimeout = 30 * time.Second
+	}
 	return nil
-}
-
-// scaled converts a modelled duration into clock time under the config's
-// time scale.
-func scaled(env skel.Env, d time.Duration) time.Duration {
-	s := env.TimeScale
-	if s <= 0 {
-		s = 1
-	}
-	out := time.Duration(float64(d) / s)
-	if out <= 0 {
-		out = time.Millisecond
-	}
-	return out
 }
 
 // NewFarmApp assembles source -> farm BS -> sink with a single autonomic
@@ -213,11 +211,13 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	env := cfg.Env
-	clock := env.Clock
-	if clock == nil {
+	// Every duration below is modelled: the managers share the skeletons'
+	// clock.
+	if cfg.Env.Clock == nil {
 		return nil, fmt.Errorf("core: farm app needs a clock (set Env.Clock)")
 	}
+	env := cfg.Env.Modelled()
+	clock := env.Clock
 
 	var auditor *security.Auditor
 	var pol *security.Policy
@@ -289,25 +289,20 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 	sink := skel.NewSink(cfg.Name+".sink", env, cfg.SinkFn)
 
 	farmABC := abc.NewFarmABC(farm, auditor)
-	actTimeout := cfg.ActuatorTimeout
-	if actTimeout <= 0 {
-		actTimeout = 30 * time.Second
-	}
 	guard := abc.NewGuard(farmABC, abc.GuardConfig{
 		Clock:   clock,
-		Timeout: scaled(env, actTimeout),
+		Timeout: cfg.ActuatorTimeout,
 		Backoff: runtime.Backoff{Clock: clock, Rand: jit},
 	})
-	amF, err := manager.NewFarmManager("AM_F", guard, cfg.Log, clock,
-		scaled(env, cfg.Period), cfg.Limits)
+	amF, err := manager.NewFarmManager("AM_F", guard, cfg.Log, clock, cfg.Period, cfg.Limits)
 	if err != nil {
 		return nil, err
 	}
 	switch {
 	case cfg.WarmUp > 0:
-		amF.SetWarmUp(scaled(env, cfg.WarmUp))
+		amF.SetWarmUp(cfg.WarmUp)
 	case cfg.WarmUp == 0:
-		amF.SetWarmUp(scaled(env, 10*time.Second))
+		amF.SetWarmUp(10 * time.Second)
 	}
 
 	app := &App{
@@ -321,8 +316,8 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 		FarmABC:      farmABC,
 		Guard:        guard,
 		Auditor:      auditor,
-		SamplePeriod: scaled(env, cfg.SamplePeriod),
-		Grace:        scaled(env, 2*cfg.Period),
+		SamplePeriod: cfg.SamplePeriod,
+		Grace:        2 * cfg.Period,
 		stages:       []skel.Stage{source, farm, sink},
 		taskTracer:   taskTracer,
 	}
@@ -335,16 +330,12 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 	}
 
 	if cfg.WithSecurity {
-		secPeriod := cfg.SecurityPeriod
-		if secPeriod <= 0 {
-			secPeriod = cfg.Period
-		}
 		sec, err := manager.NewSecurityManager(manager.SecurityConfig{
 			Clock:     clock,
 			Log:       cfg.Log,
 			Policy:    *pol,
-			Handshake: scaled(env, cfg.Handshake),
-			Period:    scaled(env, secPeriod),
+			Handshake: cfg.Handshake,
+			Period:    cfg.SecurityPeriod,
 		})
 		if err != nil {
 			return nil, err
@@ -353,6 +344,7 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 		if err != nil {
 			return nil, err
 		}
+		gm.SetPeriod(cfg.Period)
 		gm.Coordinate(farmABC)
 		app.Security = sec
 		app.GM = gm
@@ -360,30 +352,18 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 	}
 
 	if cfg.WithFaultTolerance {
-		fp := cfg.FaultPeriod
-		if fp <= 0 {
-			fp = cfg.Period / 2
-		}
 		cfg.Platform.RM.SetClock(clock)
-		fc := manager.FaultConfig{
-			Clock:           clock,
-			Log:             cfg.Log,
-			Period:          scaled(env, fp),
-			RM:              cfg.Platform.RM,
-			QuarantineAfter: cfg.FaultQuarantineAfter,
-			Retry:           runtime.Backoff{Clock: clock, Rand: jit},
-		}
-		// scaled() floors at 1ms, so modelled knobs translate only when set.
-		if cfg.FaultSuspectAfter > 0 {
-			fc.SuspectAfter = scaled(env, cfg.FaultSuspectAfter)
-		}
-		if cfg.FaultSuspectGrace > 0 {
-			fc.SuspectGrace = scaled(env, cfg.FaultSuspectGrace)
-		}
-		if cfg.FaultQuarantineCooldown > 0 {
-			fc.QuarantineCooldown = scaled(env, cfg.FaultQuarantineCooldown)
-		}
-		ft, err := manager.NewFaultManager(fc)
+		ft, err := manager.NewFaultManager(manager.FaultConfig{
+			Clock:              clock,
+			Log:                cfg.Log,
+			Period:             cfg.FaultPeriod,
+			RM:                 cfg.Platform.RM,
+			SuspectAfter:       cfg.FaultSuspectAfter,
+			SuspectGrace:       cfg.FaultSuspectGrace,
+			QuarantineAfter:    cfg.FaultQuarantineAfter,
+			QuarantineCooldown: cfg.FaultQuarantineCooldown,
+			Retry:              runtime.Backoff{Clock: clock, Rand: jit},
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -392,15 +372,11 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 	}
 
 	if cfg.WithMigration {
-		mp := cfg.MigrationPeriod
-		if mp <= 0 {
-			mp = cfg.Period / 2
-		}
 		mig, err := manager.NewMigrationManager(manager.MigrationConfig{
 			Clock:   clock,
 			Log:     cfg.Log,
 			MaxLoad: cfg.MigrationMaxLoad,
-			Period:  scaled(env, mp),
+			Period:  cfg.MigrationPeriod,
 		})
 		if err != nil {
 			return nil, err
@@ -496,11 +472,11 @@ func (cfg *PipelineAppConfig) normalize() {
 // hierarchy.
 func NewPipelineApp(cfg PipelineAppConfig) (*App, error) {
 	cfg.normalize()
-	env := cfg.Env
-	clock := env.Clock
-	if clock == nil {
+	if cfg.Env.Clock == nil {
 		return nil, fmt.Errorf("core: pipeline app needs a clock (set Env.Clock)")
 	}
+	env := cfg.Env.Modelled()
+	clock := env.Clock
 	rm := cfg.Platform.RM
 
 	// Producer and consumer each occupy one core of the platform for the
@@ -547,7 +523,7 @@ func NewPipelineApp(cfg PipelineAppConfig) (*App, error) {
 	consABC := abc.NewSeqABC(consumer)
 	pipeABC := abc.NewPipeABC(sourceABC, abc.NewSinkABC(sink))
 
-	period := scaled(env, cfg.Period)
+	period := cfg.Period
 	amP, err := manager.NewSourceManager("AM_P", sourceABC, cfg.Log, clock, period)
 	if err != nil {
 		return nil, err
@@ -584,8 +560,8 @@ func NewPipelineApp(cfg PipelineAppConfig) (*App, error) {
 		Source:       source,
 		Sink:         sink,
 		FarmABC:      farmABC,
-		SamplePeriod: scaled(env, cfg.SamplePeriod),
-		Grace:        scaled(env, 3*cfg.Period),
+		SamplePeriod: cfg.SamplePeriod,
+		Grace:        3 * cfg.Period,
 		stages:       []skel.Stage{source, farm, consumer, sink},
 	}
 

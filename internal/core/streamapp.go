@@ -111,13 +111,13 @@ func NewStreamApp(cfg StreamAppConfig) (*App, error) {
 	if cfg.SamplePeriod <= 0 {
 		cfg.SamplePeriod = 500 * time.Millisecond
 	}
-	env := cfg.Env
-	clock := env.Clock
-	if clock == nil {
+	if cfg.Env.Clock == nil {
 		return nil, fmt.Errorf("core: stream app needs a clock (set Env.Clock)")
 	}
+	env := cfg.Env.Modelled()
+	clock := env.Clock
 	rm := cfg.Platform.RM
-	period := scaled(env, cfg.Period)
+	period := cfg.Period
 
 	payload := make([]byte, cfg.Payload)
 	source := skel.NewSource(cfg.Name+".source", env, cfg.Tasks, cfg.SourceInterval,
@@ -147,8 +147,8 @@ func NewStreamApp(cfg StreamAppConfig) (*App, error) {
 		RootManager:  amA,
 		Source:       source,
 		Sink:         sink,
-		SamplePeriod: scaled(env, cfg.SamplePeriod),
-		Grace:        scaled(env, 3*cfg.Period),
+		SamplePeriod: cfg.SamplePeriod,
+		Grace:        3 * cfg.Period,
 	}
 	rootBS := &BS{
 		Pattern:    PipePattern,

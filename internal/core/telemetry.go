@@ -132,7 +132,7 @@ func (a *App) initTelemetry(farmIns *skel.FarmInstruments) {
 	}
 	if a.mttr != nil {
 		reg.AddHistogram("repro_manager_mttr_seconds",
-			"Downtime between a management-loop failure and its supervised restart.",
+			"Modelled seconds between a management-loop failure and its supervised restart.",
 			nil, a.mttr)
 	}
 	if a.GM != nil {

@@ -301,7 +301,7 @@ func ChaosSoak(ctx context.Context, opts Options, copts ChaosOptions) (*ChaosRes
 					Speed:   1.0,
 					Labels:  map[string]string{"zone": "edge"},
 				},
-				TimeScale: env.TimeScale,
+				Clock: env.Clock,
 			})
 			if err != nil {
 				return nil, err
@@ -399,30 +399,16 @@ func ChaosSoak(ctx context.Context, opts Options, copts ChaosOptions) (*ChaosRes
 	// round-robin selection stays a pure function of the plan: the
 	// performance root (exercising checkpoint/restore), the fault-tolerance
 	// loop, the two-phase security participant (a down-window, so intents
-	// prepared against it abort) and the GM coordinator. Modelled durations
-	// are scaled onto the app clock here.
-	real := func(d time.Duration) time.Duration {
-		s := env.TimeScale
-		if s <= 0 {
-			s = 1
-		}
-		out := time.Duration(float64(d) / s)
-		if out <= 0 {
-			out = time.Millisecond
-		}
-		return out
-	}
+	// prepared against it abort) and the GM coordinator. Durations are
+	// modelled, the time of the app clock.
 	var amfCrash, amfPanic atomic.Int32
-	var amfStall atomic.Int64 // pending stall, clock ns
+	var amfStall atomic.Int64 // pending stall, modelled ns
 	app.RootManager.SetRunFault(func() manager.RunFault {
-		var f manager.RunFault
-		if d := amfStall.Swap(0); d > 0 {
-			f.Stall = time.Duration(d)
-		}
+		f := manager.RunFault{Stall: time.Duration(amfStall.Swap(0))}
 		switch {
-		case takeFault(&amfPanic):
+		case chaos.TakeOne(&amfPanic):
 			f.Panic = true
-		case takeFault(&amfCrash):
+		case chaos.TakeOne(&amfCrash):
 			f.Crash = true
 		}
 		return f
@@ -432,7 +418,7 @@ func ChaosSoak(ctx context.Context, opts Options, copts ChaosOptions) (*ChaosRes
 			Name:  app.RootManager.Name(),
 			Crash: func(time.Duration) bool { amfCrash.Add(1); return true },
 			Panic: func() bool { amfPanic.Add(1); return true },
-			Stall: func(d time.Duration) bool { amfStall.Store(int64(real(d))); return true },
+			Stall: func(d time.Duration) bool { amfStall.Store(int64(d)); return true },
 		},
 		{
 			Name:  app.Fault.Name(),
@@ -444,7 +430,7 @@ func ChaosSoak(ctx context.Context, opts Options, copts ChaosOptions) (*ChaosRes
 				if w <= 0 {
 					w = 2 * time.Second
 				}
-				app.Security.FailFor(real(w))
+				app.Security.FailFor(w)
 				return true
 			},
 		},
@@ -479,7 +465,7 @@ func ChaosSoak(ctx context.Context, opts Options, copts ChaosOptions) (*ChaosRes
 	if copts.ManagerLinks {
 		sentinel, err = manager.New(manager.Config{
 			Name: "AM_edge", Concern: "performance", Clock: env.Clock,
-			Period: real(time.Second), Controller: linkSentinel{}, Log: app.Log,
+			Period: time.Second, Controller: linkSentinel{}, Log: app.Log,
 			Policy: manager.Policy{
 				OnVerdict: func(m *manager.Manager, v contract.Verdict, snap contract.Snapshot) {
 					if !v.OK() {
@@ -496,7 +482,7 @@ func ChaosSoak(ctx context.Context, opts Options, copts ChaosOptions) (*ChaosRes
 			return nil, err
 		}
 		linkEp, err = manager.NewParentEndpoint(manager.ParentEndpointConfig{
-			Parent: app.RootManager, Lease: real(time.Second),
+			Parent: app.RootManager, Lease: time.Second,
 			Clock: env.Clock, Log: app.Log,
 		})
 		if err != nil {
@@ -505,7 +491,7 @@ func ChaosSoak(ctx context.Context, opts Options, copts ChaosOptions) (*ChaosRes
 		mlink, err = manager.NewRemoteLink(manager.RemoteLinkConfig{
 			Child:     sentinel,
 			Transport: func(req []byte) ([]byte, error) { return linkEp.Handle(req), nil },
-			Heartbeat: real(250 * time.Millisecond), Lease: real(time.Second),
+			Heartbeat: 250 * time.Millisecond, Lease: time.Second,
 			Clock: env.Clock, Log: app.Log, Seed: copts.Seed,
 			// The sentinel manages its own edge concern: its locally
 			// assigned contract must survive the parent's P_spl answer.
@@ -538,7 +524,7 @@ func ChaosSoak(ctx context.Context, opts Options, copts ChaosOptions) (*ChaosRes
 		Network:    platform.Network,
 		LinkA:      platform.Domains[0].Name,
 		LinkB:      platform.Domains[1].Name,
-		Env:        env,
+		Clock:      env.Clock,
 		Log:        app.Log,
 		Health:     health,
 		MTTR:       mttr,
@@ -698,19 +684,6 @@ type linkSentinel struct{}
 func (linkSentinel) Beans() []rules.Bean            { return nil }
 func (linkSentinel) Snapshot() contract.Snapshot    { return contract.Snapshot{} }
 func (linkSentinel) Execute(string) (string, error) { return "", nil }
-
-// takeFault atomically consumes one pending one-shot manager fault.
-func takeFault(c *atomic.Int32) bool {
-	for {
-		v := c.Load()
-		if v <= 0 {
-			return false
-		}
-		if c.CompareAndSwap(v, v-1) {
-			return true
-		}
-	}
-}
 
 // writeChaos renders the soak outcome.
 func writeChaos(w io.Writer, r *ChaosResult) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/simclock"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -26,8 +27,8 @@ func startTestWorkerd(t *testing.T, psk []byte, name string) *wire.Server {
 			Speed:  1.0,
 			Labels: map[string]string{"zone": "edge"},
 		},
-		TimeScale: 200,
-		Tracer:    tracer,
+		Clock:  simclock.NewScaledReal(200),
+		Tracer: tracer,
 		Stats: func() []byte {
 			b, err := telemetry.BuildNodeReport(name, tracer, 256).Encode()
 			if err != nil {

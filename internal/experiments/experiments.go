@@ -24,8 +24,10 @@ import (
 
 // Options configures a harness run.
 type Options struct {
-	// Scale divides all modelled durations; 200 makes the minutes-long
-	// paper runs finish in a couple of wall-clock seconds. Default 200.
+	// Scale is how many modelled seconds pass per wall-clock second: the
+	// harness runs on simclock.NewScaledReal(Scale), so 200 makes the
+	// minutes-long paper runs finish in a couple of wall-clock seconds.
+	// Default 200.
 	Scale float64
 	// Tasks overrides the stream length (0 = experiment default).
 	Tasks int
@@ -57,15 +59,25 @@ func enableTelemetry(app *core.App, opts Options) error {
 	return nil
 }
 
-func (o Options) scale() float64 {
-	if o.Scale <= 0 {
-		return 200
+func (o Options) env() skel.Env {
+	scale := o.Scale
+	if scale <= 0 {
+		scale = 200
 	}
-	return o.Scale
+	return skel.Env{Clock: simclock.NewScaledReal(scale)}
 }
 
-func (o Options) env() skel.Env {
-	return skel.Env{Clock: simclock.NewReal(), TimeScale: o.scale()}
+// waitConsumed polls, on the wall clock, until the app's sink has consumed
+// n tasks; it reports false if ctx ends first. The poll paces a harness
+// thread, not the modelled run, so its period is wall time.
+func waitConsumed(ctx context.Context, app *core.App, n int) bool {
+	for app.Sink.Consumed() < n {
+		if ctx != nil && ctx.Err() != nil {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
 }
 
 // Fig3 reproduces the single-manager experiment of Fig. 3: a task-farm BS
@@ -215,11 +227,8 @@ func ExtLoad(ctx context.Context, opts Options) (*ExtLoadResult, error) {
 	// currently running a worker (75% external load cuts each to a
 	// quarter of its speed), dropping the farm below the contract.
 	go func() {
-		for app.Sink.Consumed() < tasks/3 {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
-			env.Clock.Sleep(time.Millisecond)
+		if !waitConsumed(ctx, app, tasks/3) {
+			return
 		}
 		workers := app.FarmABC.Workers()
 		out.WorkersBefore = len(workers)
@@ -393,12 +402,8 @@ func FaultTolerance(ctx context.Context, opts Options) (*FaultResult, error) {
 	// the stream completes (three crashes total).
 	go func() {
 		for _, frac := range []int{4, 2} {
-			target := tasks / frac
-			for app.Sink.Consumed() < target {
-				if ctx != nil && ctx.Err() != nil {
-					return
-				}
-				env.Clock.Sleep(time.Millisecond)
+			if !waitConsumed(ctx, app, tasks/frac) {
+				return
 			}
 			for _, w := range app.FarmABC.Workers() {
 				if !w.Failed {

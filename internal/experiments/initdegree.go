@@ -81,7 +81,7 @@ func InitialDegree(ctx context.Context, opts Options) (*InitResult, error) {
 		out.Rows = append(out.Rows, InitRow{
 			Strategy:       name,
 			InitialWorkers: first,
-			TimeToContract: timeToThreshold(res.Throughput, 0.6, opts.scale()),
+			TimeToContract: timeToThreshold(res.Throughput, 0.6),
 			AddWorkers:     log.Count("AM_F", trace.AddWorker),
 			Completed:      res.Completed,
 		})
@@ -97,7 +97,7 @@ func InitialDegree(ctx context.Context, opts Options) (*InitResult, error) {
 // the first of three consecutive samples at or above th (a single-sample
 // spike from the sliding-window meter does not count as "reached"), or -1
 // if never reached.
-func timeToThreshold(s *metrics.Series, th, scale float64) time.Duration {
+func timeToThreshold(s *metrics.Series, th float64) time.Duration {
 	pts := s.Points()
 	if len(pts) == 0 {
 		return -1
@@ -111,8 +111,7 @@ func timeToThreshold(s *metrics.Series, th, scale float64) time.Duration {
 			run = 0
 		}
 		if run >= sustain {
-			real := pts[i-sustain+1].T.Sub(pts[0].T)
-			return time.Duration(float64(real) * scale)
+			return pts[i-sustain+1].T.Sub(pts[0].T)
 		}
 	}
 	return -1

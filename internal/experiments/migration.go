@@ -81,11 +81,8 @@ func Migration(ctx context.Context, opts Options) (*MigrationResult, error) {
 		// Injector: at one third of the stream, overload the nodes of
 		// three workers; plenty of unloaded nodes remain for migration.
 		go func() {
-			for app.Sink.Consumed() < tasks/3 {
-				if ctx != nil && ctx.Err() != nil {
-					return
-				}
-				env.Clock.Sleep(time.Millisecond)
+			if !waitConsumed(ctx, app, tasks/3) {
+				return
 			}
 			workers := app.FarmABC.Workers()
 			for i, w := range workers {

@@ -257,10 +257,7 @@ func (rm *ResourceManager) SetClock(c simclock.Clock) {
 }
 
 func (rm *ResourceManager) nowLocked() time.Time {
-	if rm.clock != nil {
-		return rm.clock.Now()
-	}
-	return time.Now()
+	return simclock.Or(rm.clock).Now()
 }
 
 // SetRecruitFault installs (or, with nil, removes) a hook consulted before

@@ -37,7 +37,7 @@ type FaultConfig struct {
 	Replace *bool
 	// SuspectAfter enables progress-based failure detection: a worker
 	// with queued tasks whose served count does not advance for this
-	// long (clock time) is declared crashed, exactly as a heartbeat
+	// long (time of Clock) is declared crashed, exactly as a heartbeat
 	// timeout would. Zero disables it (only explicitly injected crashes
 	// are detected). Like any timeout detector it can false-positive on
 	// genuinely slow tasks; pick it well above the expected service time.
@@ -120,9 +120,7 @@ func NewFaultManager(cfg FaultConfig) (*FaultManager, error) {
 	if cfg.Name == "" {
 		cfg.Name = "AM_ft"
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.NewReal()
-	}
+	cfg.Clock = simclock.Or(cfg.Clock)
 	if cfg.Period <= 0 {
 		cfg.Period = 100 * time.Millisecond
 	}

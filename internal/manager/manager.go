@@ -87,8 +87,8 @@ type Config struct {
 	Name    string
 	Concern string // e.g. "performance", "security"
 	Clock   simclock.Clock
-	// Period is the control-loop period in clock time (already scaled by
-	// the caller). Default 100ms.
+	// Period is the control-loop period in the time of Clock: modelled
+	// time when Clock is simclock.Scaled. Default 100ms.
 	Period time.Duration
 	// Controller is the manager's ABC (monitor + actuators). Required.
 	Controller abc.Controller
@@ -100,7 +100,7 @@ type Config struct {
 	// Log receives the manager's autonomic events. Required.
 	Log *trace.Log
 	// WarmUp suppresses the plan/execute phase (rule firing) for this
-	// long after creation, in clock time: acting before the sliding-
+	// long after creation, in the time of Clock: acting before the sliding-
 	// window sensors hold a full window's worth of samples makes the
 	// manager chase measurement transients. Monitoring and verdict
 	// logging stay on throughout.
@@ -225,9 +225,7 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Log == nil {
 		return nil, fmt.Errorf("manager %s: missing trace log", cfg.Name)
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.NewReal()
-	}
+	cfg.Clock = simclock.Or(cfg.Clock)
 	if cfg.Period <= 0 {
 		cfg.Period = 100 * time.Millisecond
 	}
@@ -330,8 +328,8 @@ func (m *Manager) WarmUp() time.Duration {
 	return m.cfg.WarmUp
 }
 
-// SetWarmUp changes the warm-up window (clock time since creation during
-// which the rule engine does not fire).
+// SetWarmUp changes the warm-up window (time of the manager's clock since
+// creation during which the rule engine does not fire).
 func (m *Manager) SetWarmUp(d time.Duration) {
 	m.mu.Lock()
 	m.cfg.WarmUp = d

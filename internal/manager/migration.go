@@ -56,9 +56,7 @@ func NewMigrationManager(cfg MigrationConfig) (*MigrationManager, error) {
 	if cfg.Name == "" {
 		cfg.Name = "AM_mig"
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.NewReal()
-	}
+	cfg.Clock = simclock.Or(cfg.Clock)
 	if cfg.MaxLoad <= 0 {
 		cfg.MaxLoad = 0.5
 	}

@@ -107,9 +107,7 @@ func NewSecurityManager(cfg SecurityConfig) (*SecurityManager, error) {
 	if cfg.Name == "" {
 		cfg.Name = "AM_sec"
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.NewReal()
-	}
+	cfg.Clock = simclock.Or(cfg.Clock)
 	if len(cfg.Key) == 0 {
 		cfg.Key = security.NewRandomKey()
 	}
@@ -146,7 +144,7 @@ func (s *SecurityManager) newCodec() (security.Codec, error) {
 	return security.NewAESGCM(s.cfg.Key, s.clock, s.cfg.Handshake)
 }
 
-// FailFor kills the manager for d of clock time: the chaos plane's
+// FailFor kills the manager for d of its clock's time: the chaos plane's
 // manager-crash fault for the two-phase participant. Until the window
 // elapses (the supervised restart coming back up), every prepare request
 // is refused with abc.ErrManagerDown and the reactive scan is suspended.
@@ -320,7 +318,8 @@ type GeneralManager struct {
 	tracer *telemetry.Tracer
 
 	// period paces the GM's own control loop (crash-flag checks and
-	// re-issue of aborted intents). Default 100ms clock time.
+	// re-issue of aborted intents), in the time of the GM's clock.
+	// Default 100ms.
 	period time.Duration
 	// pending counts two-phase intents aborted because the participant was
 	// down, per farm; the GM's loop re-issues them once the participant is
@@ -350,9 +349,7 @@ func NewGeneralManager(name string, sec *SecurityManager, log *trace.Log, clock 
 	if name == "" {
 		name = "GM"
 	}
-	if clock == nil {
-		clock = simclock.NewReal()
-	}
+	clock = simclock.Or(clock)
 	if sec == nil && mode == Reactive {
 		return nil, fmt.Errorf("manager: %s coordination needs a security manager", mode)
 	}
@@ -379,8 +376,8 @@ func (g *GeneralManager) SetParticipant(p SecurityParticipant) {
 // Participant returns the two-phase participant in force.
 func (g *GeneralManager) Participant() SecurityParticipant { return g.part }
 
-// SetPeriod changes the GM loop period (clock time, already scaled by the
-// caller). Call before Run.
+// SetPeriod changes the GM loop period, in the time of the GM's clock
+// (modelled time on a simclock.Scaled clock). Call before Run.
 func (g *GeneralManager) SetPeriod(d time.Duration) {
 	if d > 0 {
 		g.period = d

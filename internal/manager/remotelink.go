@@ -97,7 +97,7 @@ type RemoteLinkConfig struct {
 	Child *Manager
 	// Transport is required.
 	Transport MgmtTransport
-	// Heartbeat paces lease renewal (clock time; default 50ms). Lease is
+	// Heartbeat paces lease renewal (time of Clock; default 50ms). Lease is
 	// the failure-detection window (default 4×Heartbeat, so a parent slow
 	// by 2× heartbeat jitter never trips a false partition).
 	Heartbeat time.Duration
@@ -225,8 +225,7 @@ func (l *RemoteLink) Delivered() uint64 { return l.delivered.Load() }
 func (l *RemoteLink) BufferedWhileDown() uint64 { return l.bufferedAt.Load() }
 
 // InjectPartition makes every exchange fail for the window (the chaos
-// plane's managerPartition actuator; window is wall/clock time on the
-// link's clock).
+// plane's managerPartition actuator; window is time of the link's clock).
 func (l *RemoteLink) InjectPartition(window time.Duration) {
 	l.partUntil.Store(l.clock.Now().Add(window).UnixNano())
 }

@@ -32,8 +32,9 @@ const violBufCap = 64
 // RunFault is one fault injected into a manager's control loop through the
 // nil-gated hook installed with SetRunFault (the chaos plane's
 // manager-crash / manager-panic / manager-stall kinds). Stall freezes the
-// loop first; Panic and Crash then kill it (panic unwinds, crash wipes the
-// volatile autonomic state and returns ErrInjectedCrash).
+// loop first, for that long on the manager's clock (modelled time on a
+// simclock.Scaled clock); Panic and Crash then kill it (panic unwinds,
+// crash wipes the volatile autonomic state and returns ErrInjectedCrash).
 type RunFault struct {
 	Crash bool
 	Panic bool

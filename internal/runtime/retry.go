@@ -73,9 +73,7 @@ func (b Backoff) withDefaults() Backoff {
 	if b.Attempts <= 0 {
 		b.Attempts = 3
 	}
-	if b.Clock == nil {
-		b.Clock = simclock.NewReal()
-	}
+	b.Clock = simclock.Or(b.Clock)
 	if b.Rand == nil {
 		b.Rand = rand.Float64
 	}

@@ -50,9 +50,7 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	if c.Name == "" {
 		c.Name = "supervised"
 	}
-	if c.Clock == nil {
-		c.Clock = simclock.NewReal()
-	}
+	c.Clock = simclock.Or(c.Clock)
 	if c.MaxRestarts <= 0 {
 		c.MaxRestarts = 8
 	}

@@ -4,7 +4,8 @@
 // (deterministic unit tests).
 //
 // The abstraction is intentionally small: Now, Sleep, After and NewTicker
-// are the only operations used by the rest of the repository.
+// are the only operations used by the rest of the repository. Every
+// duration they take is modelled time; Scaled replays it k times faster.
 package simclock
 
 import (

@@ -293,7 +293,6 @@ func (w *worker) closeExec() {
 // AddWorker, RemoveWorker, Rebalance, SetCodec.
 type Farm struct {
 	cfg FarmConfig
-	env Env
 
 	mu            sync.Mutex
 	workers       []*worker
@@ -388,13 +387,12 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	if cfg.BatchFlush <= 0 {
 		cfg.BatchFlush = defaultBatchFlush
 	}
-	env := cfg.Env
+	cfg.Env = cfg.Env.Modelled()
 	f := &Farm{
 		cfg:       cfg,
-		env:       env,
 		done:      make(chan struct{}),
-		arrival:   metrics.NewRateMeter(env.clock(), rateWindow(env)),
-		departure: metrics.NewRateMeter(env.clock(), rateWindow(env)),
+		arrival:   metrics.NewRateMeter(cfg.Env.Clock, rateWindow),
+		departure: metrics.NewRateMeter(cfg.Env.Clock, rateWindow),
 		errs:      make(chan error, 16),
 	}
 	f.routes.Store(emptyRoutes)
@@ -739,10 +737,10 @@ func (f *Farm) computeLocal(w *worker, env *envelope) (crashed bool) {
 		if f.memberFault(w, t) {
 			panic(fmt.Sprintf("injected worker fault (task %d)", t.ID))
 		}
-		f.env.SleepScaled(w.node.ServiceTime(work))
+		f.cfg.Env.Clock.Sleep(w.node.ServiceTime(work))
 		if nw := f.cfg.Network; nw != nil && f.cfg.HomeDomain != "" {
 			if lat := nw.LinkBetween(f.cfg.HomeDomain, w.node.Domain.Name).Latency; lat > 0 {
-				f.env.SleepScaled(lat)
+				f.cfg.Env.Clock.Sleep(lat)
 			}
 		}
 		if res := applyFn(f.cfg.Fn, t); res != nil {
@@ -765,7 +763,7 @@ func (f *Farm) memberFault(w *worker, t *Task) (panics bool) {
 	}
 	fault := (*fp)(w.id, t)
 	if fault.Stall > 0 {
-		f.env.SleepScaled(fault.Stall)
+		f.cfg.Env.Clock.Sleep(fault.Stall)
 	}
 	return fault.Panic
 }
@@ -1415,8 +1413,8 @@ func (f *Farm) Stats() FarmStats {
 	return FarmStats{
 		Workers:       workers,
 		QueueLens:     lens,
-		ArrivalRate:   f.arrival.Rate() / f.env.scale(),
-		DepartureRate: f.departure.Rate() / f.env.scale(),
+		ArrivalRate:   f.arrival.Rate(),
+		DepartureRate: f.departure.Rate(),
 		QueueVariance: metrics.QueueImbalance(lens),
 		InputDone:     done,
 		Dispatched:    f.arrival.Total(),

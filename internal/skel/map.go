@@ -18,7 +18,6 @@ import (
 // collection.
 type Map struct {
 	name string
-	env  Env
 	cfg  MapConfig
 }
 
@@ -53,7 +52,8 @@ func NewMap(name string, cfg MapConfig) (*Map, error) {
 	if cfg.Degree <= 0 {
 		cfg.Degree = 2
 	}
-	return &Map{name: name, env: cfg.Env, cfg: cfg}, nil
+	cfg.Env = cfg.Env.Modelled()
+	return &Map{name: name, cfg: cfg}, nil
 }
 
 // Name implements Stage.
@@ -95,7 +95,7 @@ func (m *Map) Apply(t *Task) (*Task, error) {
 		go func(i int, chunk []byte) {
 			defer wg.Done()
 			defer nodes[i].Release()
-			m.env.SleepScaled(nodes[i].ServiceTime(m.cfg.ChunkWork))
+			m.cfg.Env.Clock.Sleep(nodes[i].ServiceTime(m.cfg.ChunkWork))
 			if m.cfg.Chunk != nil {
 				chunk = m.cfg.Chunk(chunk)
 			}
@@ -110,7 +110,7 @@ func (m *Map) sequential(t *Task) *Task {
 	chunks := Scatter(t.Payload, m.cfg.Degree)
 	results := make([][]byte, len(chunks))
 	for i, chunk := range chunks {
-		m.env.SleepScaled(m.cfg.ChunkWork)
+		m.cfg.Env.Clock.Sleep(m.cfg.ChunkWork)
 		if m.cfg.Chunk != nil {
 			chunk = m.cfg.Chunk(chunk)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/grid"
@@ -25,9 +26,7 @@ type Source struct {
 	interval time.Duration
 
 	emitted *metrics.RateMeter
-	count   int
-	done    bool
-	doneMu  sync.Mutex
+	done    atomic.Bool
 	hooks   hooks
 }
 
@@ -40,21 +39,20 @@ func NewSource(name string, env Env, total int, interval time.Duration, mk func(
 	if mk == nil {
 		mk = func(i int) *Task { return &Task{ID: NextTaskID()} }
 	}
+	env = env.Modelled()
 	return &Source{
 		name:     name,
 		env:      env,
 		total:    total,
 		make:     mk,
 		interval: interval,
-		emitted:  metrics.NewRateMeter(env.clock(), rateWindow(env)),
+		emitted:  metrics.NewRateMeter(env.Clock, rateWindow),
 	}
 }
 
-// rateWindow picks the sliding window for rate meters: 10 s of modelled
-// time, converted to clock time by the scale.
-func rateWindow(env Env) time.Duration {
-	return time.Duration(float64(10*time.Second) / env.scale())
-}
+// rateWindow is the sliding window of every rate meter: 10 s of modelled
+// time.
+const rateWindow = 10 * time.Second
 
 // Name implements Stage.
 func (s *Source) Name() string { return s.name }
@@ -77,22 +75,16 @@ func (s *Source) Interval() time.Duration {
 
 // Emitted returns how many tasks have been emitted so far.
 func (s *Source) Emitted() int {
-	s.doneMu.Lock()
-	defer s.doneMu.Unlock()
-	return s.count
+	return int(s.emitted.Total())
 }
 
 // Done reports whether the source has emitted all its tasks — the
 // endStream condition of Fig. 4.
-func (s *Source) Done() bool {
-	s.doneMu.Lock()
-	defer s.doneMu.Unlock()
-	return s.done
-}
+func (s *Source) Done() bool { return s.done.Load() }
 
 // Rate returns the current emission rate in tasks per modelled second.
 func (s *Source) Rate() float64 {
-	return s.emitted.Rate() / s.env.scale()
+	return s.emitted.Rate()
 }
 
 // OnEvent registers fn to be called on the source's end-of-stream edge
@@ -105,18 +97,18 @@ func (s *Source) OnEvent(fn func()) (cancel func()) { return s.hooks.subscribe(f
 // closes, and the downstream stages drain what was already emitted.
 //
 // Emission is paced against absolute deadlines rather than relative
-// sleeps: at high time scales the scaled intervals are small enough that
-// per-sleep overshoot would otherwise systematically deflate the emission
-// rate the manager contracts for.
+// sleeps: at high time scales the intervals are short enough in wall time
+// that per-sleep overshoot would otherwise systematically deflate the
+// emission rate the manager contracts for.
 func (s *Source) Run(ctx context.Context, _ <-chan *Task, out chan<- *Task) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	clock := s.env.clock()
+	clock := s.env.Clock
 	next := clock.Now()
 emit:
 	for i := 0; i < s.total; i++ {
-		interval := time.Duration(float64(s.Interval()) / s.env.scale())
+		interval := s.Interval()
 		next = next.Add(interval)
 		now := clock.Now()
 		if d := next.Sub(now); d > 0 {
@@ -134,20 +126,15 @@ emit:
 		if t.ID == 0 {
 			t.ID = NextTaskID()
 		}
-		t.Created = s.env.clock().Now()
+		t.Created = time.Now()
 		select {
 		case <-ctx.Done():
 			break emit
 		case out <- t:
 		}
 		s.emitted.Mark()
-		s.doneMu.Lock()
-		s.count++
-		s.doneMu.Unlock()
 	}
-	s.doneMu.Lock()
-	s.done = true
-	s.doneMu.Unlock()
+	s.done.Store(true)
 	close(out)
 	s.hooks.fire()
 }
@@ -171,12 +158,13 @@ func NewSeq(name string, env Env, node *grid.Node, fn Fn) *Seq {
 	if node == nil {
 		panic(fmt.Sprintf("skel: stage %s needs a node", name))
 	}
+	env = env.Modelled()
 	return &Seq{
 		name:   name,
 		env:    env,
 		fn:     fn,
 		node:   node,
-		served: metrics.NewRateMeter(env.clock(), rateWindow(env)),
+		served: metrics.NewRateMeter(env.Clock, rateWindow),
 	}
 }
 
@@ -196,7 +184,7 @@ func (s *Seq) WithWork(d time.Duration) *Seq {
 
 // Rate returns the stage's service rate in tasks per modelled second.
 func (s *Seq) Rate() float64 {
-	return s.served.Rate() / s.env.scale()
+	return s.served.Rate()
 }
 
 // Served returns the number of tasks completed by the stage.
@@ -213,7 +201,7 @@ func (s *Seq) Run(_ context.Context, in <-chan *Task, out chan<- *Task) {
 		if s.work > 0 {
 			work = s.work
 		}
-		s.env.SleepScaled(s.node.ServiceTime(work))
+		s.env.Clock.Sleep(s.node.ServiceTime(work))
 		out <- applyFn(s.fn, t)
 		s.served.Mark()
 	}
@@ -225,11 +213,9 @@ func (s *Seq) Run(_ context.Context, in <-chan *Task, out chan<- *Task) {
 // throughput the application manager checks against the contract.
 type Sink struct {
 	name string
-	env  Env
 	fn   Fn
 
 	rate  *metrics.RateMeter
-	count metrics.Gauge
 	done  chan struct{}
 	hooks hooks
 }
@@ -238,9 +224,8 @@ type Sink struct {
 func NewSink(name string, env Env, fn Fn) *Sink {
 	return &Sink{
 		name: name,
-		env:  env,
 		fn:   fn,
-		rate: metrics.NewRateMeter(env.clock(), rateWindow(env)),
+		rate: metrics.NewRateMeter(env.Modelled().Clock, rateWindow),
 		done: make(chan struct{}),
 	}
 }
@@ -250,11 +235,11 @@ func (s *Sink) Name() string { return s.name }
 
 // Rate returns the completed-task rate in tasks per modelled second.
 func (s *Sink) Rate() float64 {
-	return s.rate.Rate() / s.env.scale()
+	return s.rate.Rate()
 }
 
 // Consumed returns how many tasks reached the sink.
-func (s *Sink) Consumed() int { return int(s.count.Value()) }
+func (s *Sink) Consumed() int { return int(s.rate.Total()) }
 
 // Done is closed once the whole stream has been consumed.
 func (s *Sink) Done() <-chan struct{} { return s.done }
@@ -269,7 +254,6 @@ func (s *Sink) Run(_ context.Context, in <-chan *Task, out chan<- *Task) {
 	for t := range in {
 		t = applyFn(s.fn, t)
 		s.rate.Mark()
-		s.count.Add(1)
 		if out != nil {
 			out <- t
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/runtime/leaktest"
 	"repro/internal/security"
+	"repro/internal/simclock"
 )
 
 // fastEnv runs modelled time 1000x faster than the wall clock so tests
@@ -603,13 +604,22 @@ func TestTaskClone(t *testing.T) {
 
 func TestEnvDefaults(t *testing.T) {
 	var e Env
-	if e.scale() != 1 {
-		t.Fatalf("default scale = %v", e.scale())
+	m := e.Modelled()
+	if _, ok := m.Clock.(*simclock.Real); !ok {
+		t.Fatalf("default clock = %T, want the unwrapped wall clock", m.Clock)
 	}
-	if e.clock() == nil {
-		t.Fatal("default clock nil")
+	m.Clock.Sleep(0) // must not panic or block
+	if _, ok := (Env{TimeScale: 1}).Modelled().Clock.(*simclock.Real); !ok {
+		t.Fatal("TimeScale 1 wrapped the wall clock")
 	}
-	e.SleepScaled(0) // must not panic or block
+	base := simclock.NewManual(time.Unix(0, 0))
+	folded := Env{Clock: base, TimeScale: 4}.Modelled()
+	if folded.TimeScale != 0 || folded.Clock == simclock.Clock(base) {
+		t.Fatalf("fold kept the scale: %+v", folded)
+	}
+	if again := folded.Modelled(); again.Clock != folded.Clock {
+		t.Fatal("folding twice wrapped the clock again")
+	}
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -16,9 +16,11 @@ import (
 )
 
 // Task is one stream element. Work is the nominal service time the task
-// costs on a reference-speed core; the node a worker is placed on converts
-// it into actual wall time. Payload is the data the functional code — and
-// the security codecs — operate on.
+// costs on a reference-speed core, in modelled time; the node a worker is
+// placed on converts it into its own service time. Payload is the data the
+// functional code — and the security codecs — operate on. Created is the
+// wall-clock instant the task was emitted: task spans measure real latency
+// from it, whatever clock the run's modelled time is on.
 type Task struct {
 	ID      uint64
 	Payload []byte
@@ -48,35 +50,19 @@ func applyFn(fn Fn, t *Task) *Task {
 // Env carries the execution-environment knobs shared by all skeleton
 // components of one application.
 type Env struct {
+	// Clock speaks modelled time: every duration the skeletons sleep or
+	// measure is modelled (simclock.Scaled replays it faster). Nil means
+	// the wall clock.
 	Clock simclock.Clock
-	// TimeScale divides every modelled duration: 10 means the experiment
-	// runs 10x faster than the paper's wall-clock narrative while keeping
-	// all rate ratios intact. Zero or negative means 1.
+	// TimeScale, when > 0 and != 1, wraps Clock in simclock.Scaled; the
+	// constructors fold it in through Modelled.
 	TimeScale float64
 }
 
-// scale returns the effective time scale.
-func (e Env) scale() float64 {
-	if e.TimeScale <= 0 {
-		return 1
-	}
-	return e.TimeScale
-}
-
-// clock returns the effective clock.
-func (e Env) clock() simclock.Clock {
-	if e.Clock == nil {
-		return simclock.NewReal()
-	}
-	return e.Clock
-}
-
-// SleepScaled sleeps d of modelled time, i.e. d/TimeScale of clock time.
-func (e Env) SleepScaled(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	e.clock().Sleep(time.Duration(float64(d) / e.scale()))
+// Modelled returns the Env with TimeScale folded into Clock and zeroed, so
+// folding twice is a no-op. It is the only reader of TimeScale.
+func (e Env) Modelled() Env {
+	return Env{Clock: simclock.Scaled(simclock.Or(e.Clock), e.TimeScale)}
 }
 
 // taskIDs hands out process-wide unique task IDs.

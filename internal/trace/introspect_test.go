@@ -149,7 +149,7 @@ func TestEventStripEdgeColumns(t *testing.T) {
 	}
 }
 
-// --- WriteSeriesCSV t0 selection and scaling -----------------------------
+// --- WriteSeriesCSV t0 selection -----------------------------------------
 
 func TestWriteSeriesCSVTZeroAcrossSeries(t *testing.T) {
 	a := metrics.NewSeries("a")
@@ -159,16 +159,16 @@ func TestWriteSeriesCSVTZeroAcrossSeries(t *testing.T) {
 	b.Append(epoch.Add(2*time.Second), 2)
 	b.Append(epoch.Add(6*time.Second), 3)
 	var buf bytes.Buffer
-	// scale 200: clock seconds are modelled seconds / 200.
-	if err := WriteSeriesCSV(&buf, 200, a, b); err != nil {
+	// The samples' own clock seconds, measured from b's first sample.
+	if err := WriteSeriesCSV(&buf, a, b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	want := []string{
 		"series,seconds,value",
-		"a,400.000,1", // (4s-2s) * 200
+		"a,2.000,1", // 4s - 2s
 		"b,0.000,2",
-		"b,800.000,3",
+		"b,4.000,3",
 	}
 	if len(lines) != len(want) {
 		t.Fatalf("csv:\n%s", buf.String())
@@ -177,19 +177,6 @@ func TestWriteSeriesCSVTZeroAcrossSeries(t *testing.T) {
 		if lines[i] != w {
 			t.Errorf("line %d = %q, want %q", i, lines[i], w)
 		}
-	}
-}
-
-func TestWriteSeriesCSVNonPositiveScale(t *testing.T) {
-	s := metrics.NewSeries("a")
-	s.Append(epoch, 1)
-	s.Append(epoch.Add(3*time.Second), 2)
-	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, 0, s); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "a,3.000,2") {
-		t.Fatalf("scale 0 should fall back to 1:\n%s", buf.String())
 	}
 }
 

@@ -273,12 +273,10 @@ func (l *Log) EventStrip(source string, start time.Time, width int, bucket time.
 
 // WriteSeriesCSV emits the series in long form — one "series,seconds,value"
 // row per sample, seconds measured from the earliest sample across all
-// series — so runs can be re-plotted with external tooling. scale converts
-// clock time back into modelled seconds (pass 1 for wall-clock units).
-func WriteSeriesCSV(w io.Writer, scale float64, series ...*metrics.Series) error {
-	if scale <= 0 {
-		scale = 1
-	}
+// series — so runs can be re-plotted with external tooling. The seconds
+// are those of the clock that stamped the samples: modelled seconds for a
+// run on a simclock.Scaled clock.
+func WriteSeriesCSV(w io.Writer, series ...*metrics.Series) error {
 	var t0 time.Time
 	have := false
 	for _, s := range series {
@@ -293,7 +291,7 @@ func WriteSeriesCSV(w io.Writer, scale float64, series ...*metrics.Series) error
 	}
 	for _, s := range series {
 		for _, p := range s.Points() {
-			secs := p.T.Sub(t0).Seconds() * scale
+			secs := p.T.Sub(t0).Seconds()
 			if _, err := fmt.Fprintf(w, "%s,%.3f,%g\n", s.Name(), secs, p.V); err != nil {
 				return err
 			}

@@ -159,7 +159,7 @@ func TestWriteSeriesCSV(t *testing.T) {
 	a.Append(epoch.Add(time.Second), 0.6)
 	b.Append(epoch.Add(500*time.Millisecond), 3)
 	var sb strings.Builder
-	if err := WriteSeriesCSV(&sb, 2, a, b); err != nil {
+	if err := WriteSeriesCSV(&sb, a, b); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -170,16 +170,16 @@ func TestWriteSeriesCSV(t *testing.T) {
 	if lines[0] != "series,seconds,value" {
 		t.Fatalf("header = %q", lines[0])
 	}
-	// scale 2 doubles the modelled seconds.
-	if lines[2] != "throughput,2.000,0.6" {
+	// Seconds are the samples' clock seconds from the earliest sample.
+	if lines[2] != "throughput,1.000,0.6" {
 		t.Fatalf("row = %q", lines[2])
 	}
-	if !strings.HasPrefix(lines[3], "workers,1.000,3") {
+	if !strings.HasPrefix(lines[3], "workers,0.500,3") {
 		t.Fatalf("row = %q", lines[3])
 	}
-	// Zero scale defaults to 1 and empty series are fine.
+	// Empty series are fine.
 	var sb2 strings.Builder
-	if err := WriteSeriesCSV(&sb2, 0, metrics.NewSeries("empty")); err != nil {
+	if err := WriteSeriesCSV(&sb2, metrics.NewSeries("empty")); err != nil {
 		t.Fatal(err)
 	}
 	if strings.TrimSpace(sb2.String()) != "series,seconds,value" {

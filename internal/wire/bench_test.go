@@ -39,7 +39,7 @@ func BenchmarkDispatchLoopback(b *testing.B) {
 
 // BenchmarkDispatchTCP is the cross-process path: the same sealed envelope
 // travels to a workerd over a framed localhost TCP connection and the
-// sealed result comes back. TimeScale is zero so the workerd sleeps
+// sealed result comes back. The server has no Clock, so the workerd sleeps
 // nothing: the measurement is pure transport + crypto.
 func BenchmarkDispatchTCP(b *testing.B) {
 	srv, err := NewServer(ServerConfig{PSK: testPSK(), Hello: edgeHello("bench0")})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/security"
+	"repro/internal/simclock"
 	"repro/internal/skel"
 	"repro/internal/telemetry"
 )
@@ -31,10 +32,11 @@ type ServerConfig struct {
 	Hello Hello
 	// Fn is the functional code applied to each task payload (nil: identity).
 	Fn WorkerFn
-	// TimeScale divides the modelled work carried by envelopes into real
-	// sleep, exactly like skel.Env.TimeScale on the coordinator side. Zero
-	// or negative skips the sleep entirely (the unit-test setting).
-	TimeScale float64
+	// Clock sleeps the modelled work carried by each envelope member,
+	// exactly like a coordinator-side farm on skel.Env.Clock; a
+	// simclock.Scaled clock replays it faster. Nil skips the sleep entirely
+	// (the unit-test and benchmark setting).
+	Clock simclock.Clock
 	// Log receives connection-level events. Nil discards them.
 	Log *log.Logger
 	// Instruments receives per-frame latency observations, exactly like a
@@ -303,8 +305,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			execStart := time.Now()
 			for i := range entries {
 				e := &entries[i]
-				if scale := s.cfg.TimeScale; scale > 0 && e.Work > 0 {
-					time.Sleep(time.Duration(float64(e.Work) / scale))
+				if s.cfg.Clock != nil {
+					s.cfg.Clock.Sleep(e.Work)
 				}
 				if s.cfg.Fn != nil {
 					e.Payload = s.cfg.Fn(e.Payload)

@@ -61,7 +61,7 @@ type (
 	// Verdict is a contract check outcome.
 	Verdict = contract.Verdict
 
-	// Env carries the clock and time scale of an application.
+	// Env carries the modelled-time clock of an application.
 	Env = skel.Env
 	// Task is one stream element.
 	Task = skel.Task
@@ -90,10 +90,10 @@ const (
 	StageFarm = core.StageFarm
 )
 
-// NewEnv returns a wall-clock environment running modelled time scale
-// times faster than real time (scale <= 0 means 1).
+// NewEnv returns an environment on the wall clock running modelled time
+// scale times faster than real time (scale <= 0 means 1).
 func NewEnv(scale float64) Env {
-	return Env{Clock: simclock.NewReal(), TimeScale: scale}
+	return Env{Clock: simclock.NewScaledReal(scale)}
 }
 
 // NewFarmApp assembles a farm(seq) behavioural-skeleton application with a
