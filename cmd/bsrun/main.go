@@ -61,10 +61,9 @@ var registry = []experiment{
 			return writeCSV(*csv, res.Throughput, res.Workers, res.Cores)
 		}
 	}},
-	{"fig4", "Fig. 4: AM_A/AM_P/AM_F/AM_C keep a pipeline in 0.3-0.7 tasks/s", func() runner {
+	{"fig4", "Fig. 4: AM_A/AM_P/AM_F/AM_S1 keep a pipeline in 0.3-0.7 tasks/s; AM_A runs the pipe rules", func() runner {
 		opts, timeline, csv := common(150), timelineFlag(), csvFlag()
 		showRules := flag.Bool("rules", false, "print the Fig. 5 AM_F rule file and exit")
-		rulesDriven := flag.Bool("rules-driven", false, "store AM_A's reaction policy as DRL rules too")
 		return func(ctx context.Context) error {
 			if *showRules {
 				rs, err := rules.Parse(rules.FarmRuleSource)
@@ -75,9 +74,7 @@ var registry = []experiment{
 				fmt.Println(rs.String())
 				return nil
 			}
-			o := opts()
-			o.RulesDriven = *rulesDriven
-			res, err := experiments.Fig4(ctx, o)
+			res, err := experiments.Fig4(ctx, opts())
 			if err != nil {
 				return err
 			}
@@ -291,13 +288,17 @@ func application() runner {
 		if got, ok := c.(contract.ThroughputRange); ok {
 			tr = got
 		}
-		pipeCfg := core.PipelineAppConfig{
+		// In a pipe, -work sizes every farm stage; seq stages cost 200ms.
+		streamCfg := core.StreamAppConfig{
 			Env: env, Platform: grid.NewSMP(*cores), Tasks: *tasks,
-			FilterWork: *work, ProducerInterval: *interval, Contract: tr,
-			Period: 5 * time.Second,
+			SourceInterval: *interval, Contract: tr, Period: 5 * time.Second,
+			Stages: []core.StageSpec{
+				{Kind: core.StageFarm, Work: *work, Workers: 3},
+				{Kind: core.StageSeq, Work: 200 * time.Millisecond},
+			},
 		}
 
-		app, err := core.BuildFromExpr(*expr, farmCfg, pipeCfg)
+		app, err := core.BuildFromExpr(*expr, farmCfg, streamCfg)
 		if err != nil {
 			return err
 		}

@@ -393,217 +393,22 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 	return app, nil
 }
 
-// PipelineAppConfig parameterizes the three-stage pipeline of the Fig. 4
-// experiment: pipe(producer, farm(filter), consumer) with the four-manager
-// hierarchy AM_A / AM_P / AM_F / AM_C.
-type PipelineAppConfig struct {
-	Name     string
-	Env      skel.Env
-	Platform *grid.Platform
-	Log      *trace.Log
-
-	Tasks int
-	// ProducerInterval is the producer's initial emission period; the
-	// Fig. 4 run starts with it too slow (notEnough) on purpose.
-	ProducerInterval time.Duration
-	// FilterWork is the per-task cost of the parallel (farm) stage;
-	// ConsumerWork the per-task cost of the display stage.
-	FilterWork   time.Duration
-	ConsumerWork time.Duration
-	Payload      int
-
-	InitialWorkers int
-	Limits         manager.FarmLimits
-	// Contract is the application SLA c_tRange (default 0.3 - 0.7
-	// tasks/s as in the paper).
-	Contract contract.ThroughputRange
-	// Step is the incRate/decRate multiplicative factor.
-	Step float64
-	// RulesDriven stores the application manager's reaction policy as
-	// DRL rules (rules.PipeRuleSource) instead of the built-in Go policy;
-	// behaviour is equivalent (§4.2: "the policies are stored as JBoss
-	// rules").
-	RulesDriven bool
-
-	Period       time.Duration
-	SamplePeriod time.Duration
-}
-
-func (cfg *PipelineAppConfig) normalize() {
-	if cfg.Name == "" {
-		cfg.Name = "pipeapp"
-	}
-	if cfg.Platform == nil {
-		cfg.Platform = grid.NewSMP(8)
-	}
-	if cfg.Log == nil {
-		cfg.Log = trace.NewLog()
-	}
-	if cfg.Tasks <= 0 {
-		cfg.Tasks = 120
-	}
-	if cfg.ProducerInterval <= 0 {
-		cfg.ProducerInterval = 5 * time.Second // 0.2 tasks/s: below contract
-	}
-	if cfg.FilterWork <= 0 {
-		cfg.FilterWork = 4 * time.Second
-	}
-	if cfg.ConsumerWork <= 0 {
-		cfg.ConsumerWork = 200 * time.Millisecond
-	}
-	if cfg.Payload <= 0 {
-		cfg.Payload = 64
-	}
-	if cfg.InitialWorkers <= 0 {
-		cfg.InitialWorkers = 3
-	}
-	if cfg.Contract == (contract.ThroughputRange{}) {
-		cfg.Contract = contract.ThroughputRange{Lo: 0.3, Hi: 0.7}
-	}
-	if cfg.Period <= 0 {
-		cfg.Period = time.Second
-	}
-	if cfg.SamplePeriod <= 0 {
-		cfg.SamplePeriod = 500 * time.Millisecond
-	}
-}
-
-// NewPipelineApp assembles the Fig. 4 application and its manager
-// hierarchy.
-func NewPipelineApp(cfg PipelineAppConfig) (*App, error) {
-	cfg.normalize()
-	if cfg.Env.Clock == nil {
-		return nil, fmt.Errorf("core: pipeline app needs a clock (set Env.Clock)")
-	}
-	env := cfg.Env.Modelled()
-	clock := env.Clock
-	rm := cfg.Platform.RM
-
-	// Producer and consumer each occupy one core of the platform for the
-	// whole run (the Fig. 4 resource accounting: 3 farm workers + 2 = 5).
-	prodNode, err := rm.Recruit(grid.Request{})
-	if err != nil {
-		return nil, fmt.Errorf("core: placing producer: %w", err)
-	}
-	consNode, err := rm.Recruit(grid.Request{})
-	if err != nil {
-		return nil, fmt.Errorf("core: placing consumer: %w", err)
-	}
-
-	payload := make([]byte, cfg.Payload)
-	source := skel.NewSource(cfg.Name+".producer", env, cfg.Tasks, cfg.ProducerInterval,
-		func(i int) *skel.Task {
-			return &skel.Task{Work: cfg.FilterWork, Payload: append([]byte(nil), payload...)}
-		})
-	farmIns := &skel.FarmInstruments{
-		Dispatch: metrics.NewLatencyHistogram(),
-		Seal:     metrics.NewLatencyHistogram(),
-	}
-	farm, err := skel.NewFarm(skel.FarmConfig{
-		Name:           cfg.Name + ".filter",
-		Env:            env,
-		RM:             rm,
-		InitialWorkers: cfg.InitialWorkers,
-		// Tasks leave the filter carrying the display cost, so the
-		// consumer stage charges ConsumerWork, not FilterWork.
-		Fn: func(t *skel.Task) *skel.Task {
-			t.Work = cfg.ConsumerWork
-			return t
-		},
-		Instruments: farmIns,
-	})
-	if err != nil {
-		return nil, err
-	}
-	consumer := skel.NewSeq(cfg.Name+".consumer", env, consNode, nil)
-	sink := skel.NewSink(cfg.Name+".sink", env, nil)
-
-	sourceABC := abc.NewSourceABC(source)
-	farmABC := abc.NewFarmABC(farm, nil)
-	consABC := abc.NewSeqABC(consumer)
-	pipeABC := abc.NewPipeABC(sourceABC, abc.NewSinkABC(sink))
-
-	period := cfg.Period
-	amP, err := manager.NewSourceManager("AM_P", sourceABC, cfg.Log, clock, period)
-	if err != nil {
-		return nil, err
-	}
-	amF, err := manager.NewFarmManager("AM_F", farmABC, cfg.Log, clock, period, cfg.Limits)
-	if err != nil {
-		return nil, err
-	}
-	amC, err := manager.NewMonitorManager("AM_C", consABC, cfg.Log, clock, period)
-	if err != nil {
-		return nil, err
-	}
-	var amA *manager.Manager
-	if cfg.RulesDriven {
-		amA, err = manager.NewRuleDrivenPipelineManager("AM_A", pipeABC, amP,
-			cfg.Step, cfg.Contract.Hi*1.2, cfg.Log, clock, period)
-	} else {
-		coord := &manager.PipelineCoordinator{Producer: amP, Step: cfg.Step, Cap: cfg.Contract.Hi * 1.2}
-		amA, err = manager.NewPipelineManager("AM_A", pipeABC, coord, cfg.Log, clock, period)
-	}
-	if err != nil {
-		return nil, err
-	}
-	amA.AttachChild(amP)
-	amA.AttachChild(amF)
-	amA.AttachChild(amC)
-
-	app := &App{
-		Name:         cfg.Name,
-		Env:          env,
-		Platform:     cfg.Platform,
-		Log:          cfg.Log,
-		RootManager:  amA,
-		Source:       source,
-		Sink:         sink,
-		FarmABC:      farmABC,
-		SamplePeriod: cfg.SamplePeriod,
-		Grace:        3 * cfg.Period,
-		stages:       []skel.Stage{source, farm, consumer, sink},
-	}
-
-	// GCM component view: pipe BS containing the three stage BSs.
-	pipeBS := &BS{
-		Pattern:    PipePattern,
-		Component:  newBSComponent(cfg.Name+".pipeBS", amA, pipeABC),
-		Manager:    amA,
-		Controller: pipeABC,
-	}
-	prodBS := &BS{Pattern: SeqPattern, Component: newBSComponent(cfg.Name+".producerBS", amP, sourceABC), Manager: amP, Controller: sourceABC, Stage: source}
-	farmBS := &BS{Pattern: FarmPattern, Component: newBSComponent(cfg.Name+".filterBS", amF, farmABC), Manager: amF, Controller: farmABC, Stage: farm}
-	consBS := &BS{Pattern: SeqPattern, Component: newBSComponent(cfg.Name+".consumerBS", amC, consABC), Manager: amC, Controller: consABC, Stage: consumer}
-	for _, child := range []*BS{prodBS, farmBS, consBS} {
-		pipeBS.Children = append(pipeBS.Children, child)
-		if err := pipeBS.Component.Membrane().Content().AddChild(child.Component); err != nil {
-			return nil, err
-		}
-	}
-	app.Root = pipeBS
-	_ = prodNode // held for the duration of the app (resource accounting)
-
-	app.initSupervision(nil)
-	app.initTelemetry(farmIns)
-	if err := app.Contract(cfg.Contract); err != nil {
-		return nil, err
-	}
-	return app, nil
-}
-
 // BuildFromExpr assembles an application from a skeleton expression. The
-// supported shapes are the ones the paper evaluates:
+// supported shapes are the ones the stream runtime can run:
 //
-//	farm(seq)                  -> NewFarmApp
-//	pipe(seq, farm(seq), seq)  -> NewPipelineApp (any pipe whose stages
-//	                              are seq or farm(seq); the first and last
-//	                              stages become producer and consumer)
+//	farm(seq)                 -> NewFarmApp(farmCfg)
+//	pipe(seq, s_2, ..., s_n)  -> NewStreamApp(streamCfg), each s_i seq or farm(seq)
+//
+// In a pipe the first seq is the stream source and every later stage
+// becomes one StageSpec: seq a StageSeq, farm(seq) a StageFarm. A stage
+// copies its Work, Fn, Workers and Limits from the first entry of
+// streamCfg.Stages of its kind (zero values when there is none); names
+// follow the stage position.
 //
 // Deeper nestings (farm over pipelines) are modelled at the management
 // layer (manager hierarchies support arbitrary trees) but not by this
 // stream runtime; they are rejected with a descriptive error.
-func BuildFromExpr(expr string, farmCfg FarmAppConfig, pipeCfg PipelineAppConfig) (*App, error) {
+func BuildFromExpr(expr string, farmCfg FarmAppConfig, streamCfg StreamAppConfig) (*App, error) {
 	spec, err := ParseExpr(expr)
 	if err != nil {
 		return nil, err
@@ -616,20 +421,29 @@ func BuildFromExpr(expr string, farmCfg FarmAppConfig, pipeCfg PipelineAppConfig
 		}
 		return NewFarmApp(farmCfg)
 	case PipePattern:
-		farms := 0
-		for _, c := range spec.Children {
+		if spec.Children[0].Kind != SeqPattern {
+			return nil, fmt.Errorf("core: a pipeline's first stage is its source and must be seq, found %s", spec.Children[0])
+		}
+		templates := map[StageKind]StageSpec{}
+		for i := len(streamCfg.Stages) - 1; i >= 0; i-- {
+			templates[streamCfg.Stages[i].Kind] = streamCfg.Stages[i]
+		}
+		var stages []StageSpec
+		for _, c := range spec.Children[1:] {
+			kind := StageSeq
 			switch {
 			case c.Kind == SeqPattern:
 			case c.Kind == FarmPattern && c.Children[0].Kind == SeqPattern:
-				farms++
+				kind = StageFarm
 			default:
 				return nil, fmt.Errorf("core: pipeline stage %s is not supported by the stream runtime", c)
 			}
+			st := templates[kind]
+			st.Name, st.Kind = "", kind
+			stages = append(stages, st)
 		}
-		if farms != 1 {
-			return nil, fmt.Errorf("core: pipeline runtime supports exactly one farm stage, found %d", farms)
-		}
-		return NewPipelineApp(pipeCfg)
+		streamCfg.Stages = stages
+		return NewStreamApp(streamCfg)
 	default:
 		return nil, fmt.Errorf("core: a bare seq has nothing to manage; wrap it in farm(...) or pipe(...)")
 	}

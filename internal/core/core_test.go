@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,27 +126,37 @@ func TestFarmAppReachesContract(t *testing.T) {
 	}
 }
 
+// fig4Stages is the Fig. 4 body behind the producer: farm(filter) then
+// the consumer.
+func fig4Stages() []StageSpec {
+	return []StageSpec{
+		{Name: "filter", Kind: StageFarm, Work: 14 * time.Second, Workers: 3,
+			Limits: manager.FarmLimits{MaxWorkers: 9}},
+		{Name: "consumer", Kind: StageSeq, Work: 200 * time.Millisecond},
+	}
+}
+
 // TestPipelineAppFig4Shape is the FIG4 narrative in miniature: the
 // hierarchy must produce notEnough -> raiseViol -> incRate, then addWorker,
 // and endStream at the end, with the throughput entering the contract
-// stripe.
+// stripe. AM_A's reactions come from the pipe rule file.
 func TestPipelineAppFig4Shape(t *testing.T) {
 	env := fastEnv(400)
-	app, err := NewPipelineApp(PipelineAppConfig{
-		Name:             "fig4mini",
-		Env:              env,
-		Platform:         grid.NewSMP(12),
-		Tasks:            100,
-		ProducerInterval: 5 * time.Second, // 0.2/s: below the 0.3 bound
-		FilterWork:       14 * time.Second,
-		ConsumerWork:     200 * time.Millisecond,
-		InitialWorkers:   3,
-		Limits:           manager.FarmLimits{MaxWorkers: 9},
-		Contract:         contract.ThroughputRange{Lo: 0.3, Hi: 0.7},
-		Period:           5 * time.Second,
+	app, err := NewStreamApp(StreamAppConfig{
+		Name:           "fig4mini",
+		Env:            env,
+		Platform:       grid.NewSMP(12),
+		Tasks:          100,
+		SourceInterval: 5 * time.Second, // 0.2/s: below the 0.3 bound
+		Stages:         fig4Stages(),
+		Contract:       contract.ThroughputRange{Lo: 0.3, Hi: 0.7},
+		Period:         5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if app.RootManager.Engine() == nil {
+		t.Fatal("AM_A has no rule engine")
 	}
 	res, err := app.Run()
 	if err != nil {
@@ -200,68 +211,11 @@ func TestPipelineAppFig4Shape(t *testing.T) {
 	}
 }
 
-// TestPipelineAppRulesDrivenParity reruns the Fig. 4 scenario with the
-// application manager's policy stored as DRL rules instead of Go code; the
-// narrative events must be the same.
-func TestPipelineAppRulesDrivenParity(t *testing.T) {
-	env := fastEnv(400)
-	app, err := NewPipelineApp(PipelineAppConfig{
-		Name:             "fig4rules",
-		Env:              env,
-		Platform:         grid.NewSMP(12),
-		Tasks:            100,
-		ProducerInterval: 5 * time.Second,
-		FilterWork:       14 * time.Second,
-		ConsumerWork:     200 * time.Millisecond,
-		InitialWorkers:   3,
-		Limits:           manager.FarmLimits{MaxWorkers: 9},
-		Contract:         contract.ThroughputRange{Lo: 0.3, Hi: 0.7},
-		Period:           5 * time.Second,
-		RulesDriven:      true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if app.RootManager.Engine() == nil {
-		t.Fatal("rules-driven AM_A has no engine")
-	}
-	res, err := app.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 100 {
-		t.Fatalf("completed %d/100", res.Completed)
-	}
-	log := res.Log
-	for _, c := range []struct {
-		source string
-		kind   trace.Kind
-	}{
-		{"AM_F", trace.NotEnough},
-		{"AM_F", trace.RaiseViol},
-		{"AM_A", trace.IncRate},
-		{"AM_F", trace.AddWorker},
-	} {
-		if log.Count(c.source, c.kind) == 0 {
-			t.Errorf("%s/%s missing", c.source, c.kind)
-		}
-	}
-	if got := log.Count("AM_A", trace.EndStream); got != 1 {
-		t.Errorf("endStream events = %d, want 1", got)
-	}
-	if t.Failed() {
-		t.Fatalf("timeline:\n%s", log.Timeline())
-	}
-	if res.Throughput.Max() < 0.3 {
-		t.Fatalf("throughput never entered the stripe: %.3f", res.Throughput.Max())
-	}
-}
-
 func TestPipelineAppComponentTree(t *testing.T) {
 	env := fastEnv(1000)
-	app, err := NewPipelineApp(PipelineAppConfig{
+	app, err := NewStreamApp(StreamAppConfig{
 		Name: "tree", Env: env, Platform: grid.NewSMP(8), Tasks: 1,
-		ProducerInterval: time.Second, FilterWork: time.Second,
+		SourceInterval: time.Second, Stages: fig4Stages(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,12 +252,10 @@ func TestFarmAppValidation(t *testing.T) {
 	if _, err := NewFarmApp(FarmAppConfig{}); err == nil {
 		t.Fatal("farm app without clock accepted")
 	}
-	if _, err := NewPipelineApp(PipelineAppConfig{}); err == nil {
-		t.Fatal("pipeline app without clock accepted")
-	}
-	if _, err := NewPipelineApp(PipelineAppConfig{
+	if _, err := NewStreamApp(StreamAppConfig{
 		Env:      fastEnv(100),
 		Platform: &grid.Platform{RM: grid.NewResourceManager(), Network: grid.NewNetwork()},
+		Stages:   fig4Stages(),
 	}); err == nil {
 		t.Fatal("pipeline app on empty platform accepted")
 	}
@@ -325,10 +277,16 @@ func TestAppContractWithoutManager(t *testing.T) {
 func TestBuildFromExpr(t *testing.T) {
 	env := fastEnv(1000)
 	fcfg := FarmAppConfig{Env: env, Platform: grid.NewSMP(8), Tasks: 1, TaskWork: time.Millisecond}
-	pcfg := PipelineAppConfig{Env: env, Platform: grid.NewSMP(8), Tasks: 1,
-		ProducerInterval: time.Millisecond, FilterWork: time.Millisecond}
+	scfg := func() StreamAppConfig {
+		return StreamAppConfig{Env: env, Platform: grid.NewSMP(8), Tasks: 1,
+			SourceInterval: time.Millisecond,
+			Stages: []StageSpec{
+				{Kind: StageFarm, Work: time.Millisecond, Workers: 2},
+				{Kind: StageSeq, Work: time.Millisecond},
+			}}
+	}
 
-	app, err := BuildFromExpr("farm(seq)", fcfg, pcfg)
+	app, err := BuildFromExpr("farm(seq)", fcfg, scfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,30 +297,50 @@ func TestBuildFromExpr(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fcfg2 := fcfg
-	fcfg2.Platform = grid.NewSMP(8)
-	pcfg2 := pcfg
-	pcfg2.Platform = grid.NewSMP(8)
-	app2, err := BuildFromExpr("pipe(seq, farm(seq), seq)", fcfg2, pcfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if app2.RootManager.Name() != "AM_A" {
-		t.Fatalf("pipe app root manager = %s", app2.RootManager.Name())
-	}
-	if _, err := app2.Run(); err != nil {
-		t.Fatal(err)
+	// Every pipe stage after the source gets its own manager; a second
+	// farm stage runs under AM_F1.
+	for expr, want := range map[string][]string{
+		"pipe(seq, farm(seq), seq)":       {"AM_P", "AM_F", "AM_S1"},
+		"pipe(seq, farm(seq), farm(seq))": {"AM_P", "AM_F", "AM_F1"},
+		"pipe(seq, seq)":                  {"AM_P", "AM_S0"},
+	} {
+		app, err := BuildFromExpr(expr, fcfg, scfg())
+		if err != nil {
+			t.Fatalf("BuildFromExpr(%q): %v", expr, err)
+		}
+		if app.RootManager.Name() != "AM_A" {
+			t.Fatalf("%s: root manager = %s", expr, app.RootManager.Name())
+		}
+		var got []string
+		for _, c := range app.RootManager.Children() {
+			got = append(got, c.Name())
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("%s: managers = %v, want %v", expr, got, want)
+		}
+		res, err := app.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", expr, err)
+		}
+		if res.Completed != 1 {
+			t.Fatalf("%s: completed %d/1", expr, res.Completed)
+		}
+		for _, m := range want {
+			if res.Log.Count(m, trace.NewContr) == 0 {
+				t.Fatalf("%s: %s never received a contract:\n%s", expr, m, res.Log.Timeline())
+			}
+		}
 	}
 
 	for _, expr := range []string{
-		"seq",                       // nothing to manage
-		"farm(pipe(seq,seq))",       // farm over pipeline unsupported
-		"pipe(seq,seq)",             // no farm stage
-		"pipe(farm(seq),farm(seq))", // two farm stages
-		"pipe(farm(farm(seq)))",     // nested farm
+		"seq",                           // nothing to manage
+		"farm(pipe(seq,seq))",           // farm over pipeline unsupported
+		"pipe(farm(seq),seq)",           // the source must be seq
+		"pipe(seq,farm(pipe(seq,seq)))", // farm over a pipeline stage
+		"pipe(farm(farm(seq)))",         // nested farm
 		"garbage(",
 	} {
-		if _, err := BuildFromExpr(expr, fcfg, pcfg); err == nil {
+		if _, err := BuildFromExpr(expr, fcfg, scfg()); err == nil {
 			t.Errorf("BuildFromExpr(%q) accepted", expr)
 		}
 	}

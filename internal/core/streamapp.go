@@ -8,17 +8,18 @@ import (
 	"repro/internal/contract"
 	"repro/internal/grid"
 	"repro/internal/manager"
+	"repro/internal/metrics"
 	"repro/internal/skel"
 	"repro/internal/trace"
 )
 
-// This file generalizes the Fig. 4 builder to arbitrary pipelines of
-// sequential and farm stages: pipe(s_1, ..., s_n) where each s_i is either
-// seq or farm(seq). It is the mechanism behind the §4.2 idea of
-// "transforming a pipeline stage into a farm with the workers behaving as
-// instances of the original stage": a StageSpec flips from StageSeq to
-// StageFarm without touching the rest of the application (see Farmize and
-// the EXT-FARMIZE experiment).
+// This file builds every pipeline application: a stream source followed by
+// stages s_1, ..., s_n where each s_i is either seq or farm(seq). The
+// Fig. 4 application is one such spec (experiments.Fig4). It is also the
+// mechanism behind the §4.2 idea of "transforming a pipeline stage into a
+// farm with the workers behaving as instances of the original stage": a
+// StageSpec flips from StageSeq to StageFarm without touching the rest of
+// the application (see Farmize and the EXT-FARMIZE experiment).
 
 // StageKind discriminates StreamApp stage specifications.
 type StageKind int
@@ -56,19 +57,25 @@ func (s StageSpec) Farmize(workers int) StageSpec {
 }
 
 // StreamAppConfig parameterizes an arbitrary seq/farm pipeline under one
-// application manager.
+// application manager. The Fig. 4 application is one such pipeline: a farm
+// stage (the filter) and a seq stage (the consumer) behind the source.
 type StreamAppConfig struct {
 	Name     string
 	Env      skel.Env
 	Platform *grid.Platform
 	Log      *trace.Log
 
+	// Tasks is the stream length; SourceInterval the source's initial
+	// emission period (modelled), which AM_A's rate contracts retarget.
 	Tasks          int
 	SourceInterval time.Duration
 	Payload        int
 
 	Stages []StageSpec
 
+	// Contract is the application SLA c_tRange (default 0.3 - 0.7
+	// tasks/s as in the paper); Step the incRate/decRate multiplicative
+	// factor of AM_A.
 	Contract contract.ThroughputRange
 	Step     float64
 
@@ -78,8 +85,9 @@ type StreamAppConfig struct {
 
 // NewStreamApp assembles source -> stages -> sink with one manager per
 // stage (farm managers run the Fig. 5 rules; sequential stages get
-// monitor-only managers) under a top-level application manager that splits
-// the contract and reacts to farm violations with producer rate contracts.
+// monitor-only managers) under the application manager AM_A, which splits
+// the contract over its children and reacts to their violations with
+// producer rate contracts through the pipe rule file (rules.PipeRuleSource).
 func NewStreamApp(cfg StreamAppConfig) (*App, error) {
 	if cfg.Name == "" {
 		cfg.Name = "streamapp"
@@ -119,6 +127,11 @@ func NewStreamApp(cfg StreamAppConfig) (*App, error) {
 	rm := cfg.Platform.RM
 	period := cfg.Period
 
+	// The source occupies one core of the platform for the whole run, as
+	// the Fig. 4 producer does (3 filter workers + producer + consumer = 5).
+	if _, err := rm.Recruit(grid.Request{}); err != nil {
+		return nil, fmt.Errorf("core: placing source: %w", err)
+	}
 	payload := make([]byte, cfg.Payload)
 	source := skel.NewSource(cfg.Name+".source", env, cfg.Tasks, cfg.SourceInterval,
 		func(i int) *skel.Task {
@@ -132,12 +145,14 @@ func NewStreamApp(cfg StreamAppConfig) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	coord := &manager.PipelineCoordinator{Producer: amP, Step: cfg.Step, Cap: cfg.Contract.Hi * 1.2}
-	amA, err := manager.NewPipelineManager("AM_A", pipeABC, coord, cfg.Log, clock, period)
+	// The cap sits slightly above the contract's upper bound: the measured
+	// arrival rate lags its sliding window, so uncapped compounding would
+	// overshoot wildly, while a mild overshoot keeps Fig. 4's decRate.
+	amA, err := manager.NewRuleDrivenPipelineManager("AM_A", pipeABC, amP,
+		cfg.Step, cfg.Contract.Hi*1.2, cfg.Log, clock, period)
 	if err != nil {
 		return nil, err
 	}
-	amA.AttachChild(amP)
 
 	app := &App{
 		Name:         cfg.Name,
@@ -156,13 +171,22 @@ func NewStreamApp(cfg StreamAppConfig) (*App, error) {
 		Manager:    amA,
 		Controller: pipeABC,
 	}
-	prodBS := &BS{Pattern: SeqPattern,
-		Component: newBSComponent(cfg.Name+".sourceBS", amP, sourceABC),
-		Manager:   amP, Controller: sourceABC, Stage: source}
-	rootBS.Children = append(rootBS.Children, prodBS)
-	rootBS.Component.Membrane().Content().AddChild(prodBS.Component)
+	// attach makes one stage BS a child of the pipe BS, in both the manager
+	// hierarchy and the GCM component tree.
+	attach := func(p PatternKind, name string, am *manager.Manager, ctrl abc.Controller, st skel.Stage) error {
+		amA.AttachChild(am)
+		bs := &BS{Pattern: p, Component: newBSComponent(name+"BS", am, ctrl),
+			Manager: am, Controller: ctrl, Stage: st}
+		rootBS.Children = append(rootBS.Children, bs)
+		return rootBS.Component.Membrane().Content().AddChild(bs.Component)
+	}
+	if err := attach(SeqPattern, cfg.Name+".source", amP, sourceABC, source); err != nil {
+		return nil, err
+	}
 
 	stages := []skel.Stage{source}
+	// farmIns instruments the first farm, the one App.FarmABC exposes.
+	var farmIns *skel.FarmInstruments
 	farmIdx := 0
 	for i, spec := range cfg.Stages {
 		name := spec.Name
@@ -181,17 +205,22 @@ func NewStreamApp(cfg StreamAppConfig) (*App, error) {
 			if err != nil {
 				return nil, err
 			}
-			amA.AttachChild(am)
-			bs := &BS{Pattern: SeqPattern,
-				Component: newBSComponent(name+"BS", am, seqABC),
-				Manager:   am, Controller: seqABC, Stage: seq}
-			rootBS.Children = append(rootBS.Children, bs)
-			rootBS.Component.Membrane().Content().AddChild(bs.Component)
+			if err := attach(SeqPattern, name, am, seqABC, seq); err != nil {
+				return nil, err
+			}
 			stages = append(stages, seq)
 		case StageFarm:
 			workers := spec.Workers
 			if workers <= 0 {
 				workers = 1
+			}
+			var ins *skel.FarmInstruments
+			if farmIns == nil {
+				ins = &skel.FarmInstruments{
+					Dispatch: metrics.NewLatencyHistogram(),
+					Seal:     metrics.NewLatencyHistogram(),
+				}
+				farmIns = ins
 			}
 			farm, err := skel.NewFarm(skel.FarmConfig{
 				Name:           name,
@@ -200,6 +229,7 @@ func NewStreamApp(cfg StreamAppConfig) (*App, error) {
 				InitialWorkers: workers,
 				Fn:             spec.Fn,
 				WorkOverride:   spec.Work,
+				Instruments:    ins,
 			})
 			if err != nil {
 				return nil, err
@@ -214,12 +244,9 @@ func NewStreamApp(cfg StreamAppConfig) (*App, error) {
 			if err != nil {
 				return nil, err
 			}
-			amA.AttachChild(am)
-			bs := &BS{Pattern: FarmPattern,
-				Component: newBSComponent(name+"BS", am, farmABC),
-				Manager:   am, Controller: farmABC, Stage: farm}
-			rootBS.Children = append(rootBS.Children, bs)
-			rootBS.Component.Membrane().Content().AddChild(bs.Component)
+			if err := attach(FarmPattern, name, am, farmABC, farm); err != nil {
+				return nil, err
+			}
 			stages = append(stages, farm)
 			if app.FarmABC == nil {
 				app.FarmABC = farmABC
@@ -228,10 +255,11 @@ func NewStreamApp(cfg StreamAppConfig) (*App, error) {
 			return nil, fmt.Errorf("core: unknown stage kind %d", spec.Kind)
 		}
 	}
-	stages = append(stages, sink)
-	app.stages = stages
+	app.stages = append(stages, sink)
 	app.Root = rootBS
 
+	app.initSupervision(nil)
+	app.initTelemetry(farmIns)
 	if err := app.Contract(cfg.Contract); err != nil {
 		return nil, err
 	}

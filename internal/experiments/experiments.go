@@ -33,9 +33,6 @@ type Options struct {
 	Tasks int
 	// Out, when non-nil, receives the rendered figure.
 	Out io.Writer
-	// RulesDriven makes Fig4 store the application manager's policy as
-	// DRL rules (rules.PipeRuleSource) instead of the built-in Go policy.
-	RulesDriven bool
 	// Telemetry, when non-empty, serves the introspection endpoint
 	// (/healthz, /metrics, /trace, /managers, pprof) on this address for
 	// the duration of each run. Empty disables the listener.
@@ -125,8 +122,11 @@ func Fig3(ctx context.Context, opts Options) (*core.Result, error) {
 
 // Fig4 reproduces the hierarchical-management experiment of Fig. 4: the
 // three-stage pipeline pipe(producer, farm(filter), consumer) with the
-// manager hierarchy AM_A / AM_P / AM_F / AM_C and the application SLA
-// c_tRange = 0.3 - 0.7 tasks/s.
+// application SLA c_tRange = 0.3 - 0.7 tasks/s. It is a plain stream-app
+// spec: the source is the producer (AM_P), the filter farm runs the Fig. 5
+// rules (AM_F), the consumer has a monitor-only manager (AM_S1, the
+// paper's AM_C), and the application manager AM_A reacts through the pipe
+// rule file (rules.PipeRuleSource).
 //
 // The producer deliberately starts too slow (0.2 tasks/s) so the first
 // phase of the paper's narrative — notEnough -> raiseViol -> incRate —
@@ -137,25 +137,25 @@ func Fig4(ctx context.Context, opts Options) (*core.Result, error) {
 	if tasks <= 0 {
 		tasks = 150
 	}
-	app, err := core.NewPipelineApp(core.PipelineAppConfig{
-		Name:             "fig4",
-		Env:              opts.env(),
-		Platform:         grid.NewSMP(12),
-		Tasks:            tasks,
-		ProducerInterval: 5 * time.Second,
-		FilterWork:       14 * time.Second,
-		ConsumerWork:     200 * time.Millisecond,
-		Payload:          256,
-		InitialWorkers:   3,
-		Limits:           manager.FarmLimits{MaxWorkers: 9},
-		Contract:         contract.ThroughputRange{Lo: 0.3, Hi: 0.7},
+	app, err := core.NewStreamApp(core.StreamAppConfig{
+		Name:           "fig4",
+		Env:            opts.env(),
+		Platform:       grid.NewSMP(12),
+		Tasks:          tasks,
+		SourceInterval: 5 * time.Second,
+		Payload:        256,
+		Stages: []core.StageSpec{
+			{Name: "filter", Kind: core.StageFarm, Work: 14 * time.Second, Workers: 3,
+				Limits: manager.FarmLimits{MaxWorkers: 9}},
+			{Name: "consumer", Kind: core.StageSeq, Work: 200 * time.Millisecond},
+		},
+		Contract: contract.ThroughputRange{Lo: 0.3, Hi: 0.7},
 		// A slightly aggressive rate step makes the producer overshoot
 		// the upper bound once, eliciting the decRate warning of the
 		// paper's second phase before settling into the stripe.
 		Step:         1.5,
 		Period:       5 * time.Second,
 		SamplePeriod: time.Second,
-		RulesDriven:  opts.RulesDriven,
 	})
 	if err != nil {
 		return nil, err

@@ -70,8 +70,8 @@ type Policy struct {
 	// OnContract applies a freshly assigned contract locally (rebuild the
 	// rule engine from its bounds, retarget an emission rate, ...).
 	OnContract func(m *Manager, c contract.Contract)
-	// OnChildViolation reacts to a violation reported by a child (the
-	// incRate/decRate reactions of AM_A in Fig. 4).
+	// OnChildViolation reacts to a violation reported by a child (AM_A's
+	// queues it as a ViolationBean for the Fig. 4 pipe rules).
 	OnChildViolation func(m *Manager, v Violation)
 	// Split derives the children's sub-contracts when a contract is
 	// assigned (P_spl). n is the number of children.

@@ -286,71 +286,6 @@ func TestFarmManagerRebuildsEngineFromContract(t *testing.T) {
 	}
 }
 
-func TestPipelineCoordinatorIncDecRate(t *testing.T) {
-	srcStage := skel.NewSource("prod", skel.Env{TimeScale: 1000}, 100, 10*time.Second, nil)
-	srcABC := abc.NewSourceABC(srcStage)
-	log := trace.NewLog()
-	clock := simclock.NewReal()
-	amP, err := NewSourceManager("AM_P", srcABC, log, clock, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := &PipelineCoordinator{Producer: amP, Step: 2}
-	amA, err := NewPipelineManager("AM_A", &stub{}, coord, log, clock, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	amA.AttachChild(amP)
-
-	// notEnough from the farm: AM_A must send an incRate contract to AM_P.
-	coord.OnChildViolation(amA, Violation{
-		From: "AM_F", Tag: rules.TagNotEnoughTasks,
-		Snapshot: contract.Snapshot{ArrivalRate: 0.1},
-	})
-	if log.Count("AM_A", trace.IncRate) != 1 {
-		t.Fatalf("incRate missing:\n%s", log.Timeline())
-	}
-	tr, ok := amP.Contract().(contract.ThroughputRange)
-	if !ok || tr.Lo != 0.2 {
-		t.Fatalf("producer contract = %v, want lo=0.2", amP.Contract())
-	}
-	if srcStage.Interval() != 5*time.Second {
-		t.Fatalf("source interval = %v, want 5s (rate 0.2)", srcStage.Interval())
-	}
-
-	// Repeated notEnough keeps compounding.
-	coord.OnChildViolation(amA, Violation{Tag: rules.TagNotEnoughTasks,
-		Snapshot: contract.Snapshot{ArrivalRate: 0.1}})
-	if tr := amP.Contract().(contract.ThroughputRange); tr.Lo != 0.4 {
-		t.Fatalf("compounded rate = %v, want 0.4", tr.Lo)
-	}
-
-	// tooMuch: decRate.
-	coord.OnChildViolation(amA, Violation{Tag: rules.TagTooMuchTasks,
-		Snapshot: contract.Snapshot{ArrivalRate: 0.8}})
-	if log.Count("AM_A", trace.DecRate) != 1 {
-		t.Fatalf("decRate missing:\n%s", log.Timeline())
-	}
-	if tr := amP.Contract().(contract.ThroughputRange); tr.Lo != 0.4 {
-		t.Fatalf("decRate target = %v, want 0.8/2=0.4", tr.Lo)
-	}
-}
-
-func TestPipelineCoordinatorEndStream(t *testing.T) {
-	log := trace.NewLog()
-	coord := &PipelineCoordinator{}
-	amA, _ := NewPipelineManager("AM_A", &stub{}, coord, log, simclock.NewReal(), time.Millisecond)
-	v := Violation{Tag: rules.TagNotEnoughTasks, Snapshot: contract.Snapshot{StreamDone: true}}
-	coord.OnChildViolation(amA, v)
-	coord.OnChildViolation(amA, v)
-	if log.Count("AM_A", trace.EndStream) != 1 {
-		t.Fatalf("endStream must be logged exactly once:\n%s", log.Timeline())
-	}
-	if log.Count("AM_A", trace.IncRate) != 0 {
-		t.Fatal("no incRate after endStream")
-	}
-}
-
 func TestManagerStartStopLoop(t *testing.T) {
 	ctrl := &stub{}
 	m, log := newTestManager(t, "AM", ctrl, nil, Policy{})

@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -15,8 +14,9 @@ import (
 // This file provides the standard manager policies of the paper's
 // experiments: the farm manager AM_F (Fig. 5 rules parameterized by the
 // contract), the producer manager AM_P (rate contracts applied to the
-// source actuator), passive stage managers, and the application/pipeline
-// manager AM_A that coordinates its stage managers hierarchically.
+// source actuator) and passive stage managers. The application/pipeline
+// manager AM_A that coordinates them hierarchically runs the pipe rule
+// file (rulepipe.go).
 
 // throughputBounds extracts the throughput range governing a contract
 // (walking conjunctions); a contract with no throughput component yields
@@ -115,7 +115,8 @@ func NewSourceManager(name string, a *abc.SourceABC, log *trace.Log, clock simcl
 }
 
 // NewMonitorManager builds a sensors-only AM for stages with no actuator
-// surface (the Consumer stage manager AM_C of Fig. 4).
+// surface (the consumer stage of Fig. 4, whose manager the paper calls
+// AM_C).
 func NewMonitorManager(name string, ctrl abc.Controller, log *trace.Log, clock simclock.Clock, period time.Duration) (*Manager, error) {
 	return New(Config{
 		Name:       name,
@@ -124,105 +125,5 @@ func NewMonitorManager(name string, ctrl abc.Controller, log *trace.Log, clock s
 		Period:     period,
 		Controller: ctrl,
 		Log:        log,
-	})
-}
-
-// PipelineCoordinator is the hierarchical policy of the application
-// manager AM_A in Fig. 4: it splits its contract identically over the
-// stage managers (pipeline performance model) and reacts to farm-stage
-// violations by adjusting the producer's rate contract — incRate on
-// notEnoughTasks, decRate on tooMuchTasks, and nothing once the stream has
-// ended (the endStream phase where notEnough persists unanswered).
-type PipelineCoordinator struct {
-	// Producer is the stage manager receiving rate contracts.
-	Producer *Manager
-	// Step is the multiplicative rate-adjustment factor (default 1.3).
-	Step float64
-	// Floor is the minimum requested rate when starting from a silent
-	// producer (default 0.05 tasks/s).
-	Floor float64
-	// Cap bounds the requested rate (0 = uncapped). Because the measured
-	// arrival rate lags the sliding window, uncapped compounding can
-	// overshoot wildly; the builders set it slightly above the contract's
-	// upper bound so the mild overshoot-then-decRate of Fig. 4 survives.
-	Cap float64
-	// Weights are the optional stage weights for par-degree splits.
-	Weights []float64
-
-	requested float64
-	endLogged bool
-	endStream bool
-}
-
-func (p *PipelineCoordinator) step() float64 {
-	if p.Step <= 1 {
-		return 1.3
-	}
-	return p.Step
-}
-
-func (p *PipelineCoordinator) floor() float64 {
-	if p.Floor <= 0 {
-		return 0.05
-	}
-	return p.Floor
-}
-
-// OnChildViolation implements the AM_A reaction policy.
-func (p *PipelineCoordinator) OnChildViolation(m *Manager, v Violation) {
-	switch v.Tag {
-	case rules.TagNotEnoughTasks:
-		if v.Snapshot.StreamDone || p.endStream {
-			// No significant action is possible: the stream is over.
-			if !p.endLogged {
-				m.event(trace.EndStream, "")
-				p.endLogged = true
-			}
-			p.endStream = p.endStream || v.Snapshot.StreamDone
-			return
-		}
-		base := math.Max(math.Max(v.Snapshot.ArrivalRate, p.requested), p.floor())
-		p.requested = base * p.step()
-		if p.Cap > 0 && p.requested > p.Cap {
-			p.requested = p.Cap
-		}
-		detail := fmt.Sprintf("rate->%.3f", p.requested)
-		m.event(trace.IncRate, detail)
-		m.noteAction(string(trace.IncRate), detail, nil)
-		if p.Producer != nil {
-			_ = p.Producer.AssignContract(contract.MinThroughput(p.requested))
-		}
-	case rules.TagTooMuchTasks:
-		base := math.Max(v.Snapshot.ArrivalRate, p.requested)
-		p.requested = base / p.step()
-		detail := fmt.Sprintf("rate->%.3f", p.requested)
-		m.event(trace.DecRate, detail)
-		m.noteAction(string(trace.DecRate), detail, nil)
-		if p.Producer != nil {
-			_ = p.Producer.AssignContract(contract.MinThroughput(p.requested))
-		}
-	}
-}
-
-// NewPipelineManager builds the application manager AM_A over a pipeline
-// ABC with the PipelineCoordinator policy. Attach the stage managers with
-// AttachChild before assigning the top-level contract.
-func NewPipelineManager(name string, ctrl abc.Controller, coord *PipelineCoordinator, log *trace.Log, clock simclock.Clock, period time.Duration) (*Manager, error) {
-	if coord == nil {
-		coord = &PipelineCoordinator{}
-	}
-	return New(Config{
-		Name:       name,
-		Concern:    "performance",
-		Clock:      clock,
-		Period:     period,
-		Controller: ctrl,
-		Log:        log,
-		Policy: Policy{
-			OnChildViolation: coord.OnChildViolation,
-			Split: func(c contract.Contract, n int) ([]contract.Contract, error) {
-				return contract.SplitPipeline(c, n, coord.Weights)
-			},
-		},
 	})
 }

@@ -13,13 +13,13 @@ import (
 	"repro/internal/trace"
 )
 
-// This file implements the rule-driven variant of the application manager
-// AM_A: instead of the hard-coded PipelineCoordinator policy, the child
-// violations are published into the rule engine's working memory as
-// ViolationBeans and the PipeRuleSource rules decide the reaction. The
-// actuator side (computing the new producer rate and assigning the
-// contract) stays a mechanism, implemented by the controller below —
-// exactly the policy/mechanism split of P_rol.
+// This file implements the application manager AM_A of every pipeline:
+// its reaction policy is stored as rules (§4.2: "the policies are stored as
+// JBoss rules"). Child violations are published into the rule engine's
+// working memory as ViolationBeans and the PipeRuleSource rules decide the
+// reaction. The actuator side (computing the new producer rate and
+// assigning the contract) stays a mechanism, implemented by the controller
+// below — exactly the policy/mechanism split of P_rol.
 
 // ruleCoordinator wraps a pipeline monitor into a Controller that (a)
 // publishes pending child violations as beans and (b) implements the
@@ -45,21 +45,24 @@ func (c *ruleCoordinator) enqueue(_ *Manager, v Violation) {
 }
 
 // Beans implements abc.Monitor: the pipeline sensors plus one
-// ViolationBean per pending child report. After the stream has ended,
-// further notEnough reports are dropped — the paper's AM_A "stops
-// reacting to notEnough events since it cannot take any significant
-// action".
+// ViolationBean per pending child report. No notEnough report is
+// published after the first one that saw the stream end: from then on
+// AM_A "stops reacting to notEnough events since it cannot take any
+// significant action", so endStream fires exactly once.
 func (c *ruleCoordinator) Beans() []rules.Bean {
 	out := c.mon.Beans()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, v := range c.pending {
-		if c.ended && v.Tag == rules.TagNotEnoughTasks {
-			continue
-		}
 		done := 0.0
-		if v.Snapshot.StreamDone {
-			done = 1
+		if v.Tag == rules.TagNotEnoughTasks {
+			if c.ended {
+				continue
+			}
+			if v.Snapshot.StreamDone {
+				done = 1
+				c.ended = true
+			}
 		}
 		b := rules.NewBean(rules.BeanViolation, rules.Num(0)).
 			Set("tag", rules.Str(v.Tag)).
@@ -110,22 +113,20 @@ func (c *ruleCoordinator) Execute(op string) (string, error) {
 		}
 		return fmt.Sprintf("rate->%.3f", target), nil
 	case rules.OpEndStream:
-		c.mu.Lock()
-		already := c.ended
-		c.ended = true
-		c.mu.Unlock()
-		if already {
-			return "", nil
-		}
 		return "input stream exhausted", nil
 	default:
 		return "", fmt.Errorf("%w: %s", abc.ErrUnsupported, op)
 	}
 }
 
-// NewRuleDrivenPipelineManager builds AM_A with its reaction policy stored
-// as rules (PipeRuleSource) instead of Go code. step and cap parameterize
-// the rate mechanism exactly like PipelineCoordinator.Step/Cap.
+// NewRuleDrivenPipelineManager builds the application manager AM_A over a
+// pipeline monitor, with its reaction policy stored as rules
+// (PipeRuleSource): it splits its contract identically over the stage
+// managers (pipeline performance model) and answers a child's notEnough
+// with incRate and tooMuch with decRate on the producer's rate contract.
+// step is the multiplicative rate factor (default 1.3); cap bounds the
+// requested rate (0 = uncapped). Attach the stage managers with
+// AttachChild before assigning the top-level contract.
 func NewRuleDrivenPipelineManager(name string, mon abc.Monitor, producer *Manager, step, cap float64, log *trace.Log, clock simclock.Clock, period time.Duration) (*Manager, error) {
 	if step <= 1 {
 		step = 1.3

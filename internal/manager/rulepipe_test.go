@@ -98,6 +98,67 @@ func TestRuleDrivenPipelineEndStream(t *testing.T) {
 	}
 }
 
+// TestPipelineCoordinatorIncDecRate checks AM_A's coordination of the
+// producer step by step: notEnough raises the requested rate, repeated
+// notEnough compounds from the requested rate (not from the lagging
+// measured arrival rate), and tooMuch lowers it.
+func TestPipelineCoordinatorIncDecRate(t *testing.T) {
+	amA, amP, src, log := newRuleDrivenAMA(t)
+	react := func(tag string, arrival float64) {
+		t.Helper()
+		amA.deliver(Violation{From: "AM_F", Tag: tag,
+			Snapshot: contract.Snapshot{ArrivalRate: arrival}})
+		if err := amA.RunOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	react(rules.TagNotEnoughTasks, 0.1)
+	if log.Count("AM_A", trace.IncRate) != 1 {
+		t.Fatalf("incRate missing:\n%s", log.Timeline())
+	}
+	tr, ok := amP.Contract().(contract.ThroughputRange)
+	if !ok || tr.Lo != 0.2 {
+		t.Fatalf("producer contract = %v, want lo=0.2", amP.Contract())
+	}
+	if src.Interval() != 5*time.Second {
+		t.Fatalf("source interval = %v, want 5s (rate 0.2)", src.Interval())
+	}
+
+	// 0.2 -> 0.4 at step 2.
+	react(rules.TagNotEnoughTasks, 0.1)
+	if tr := amP.Contract().(contract.ThroughputRange); tr.Lo != 0.4 {
+		t.Fatalf("compounded rate = %v, want 0.4", tr.Lo)
+	}
+
+	react(rules.TagTooMuchTasks, 0.8)
+	if log.Count("AM_A", trace.DecRate) != 1 {
+		t.Fatalf("decRate missing:\n%s", log.Timeline())
+	}
+	if tr := amP.Contract().(contract.ThroughputRange); tr.Lo != 0.4 {
+		t.Fatalf("decRate target = %v, want 0.8/2=0.4", tr.Lo)
+	}
+}
+
+// TestPipelineCoordinatorEndStream checks that two end-of-stream reports
+// queued for the same cycle end the stream once and raise no rate.
+func TestPipelineCoordinatorEndStream(t *testing.T) {
+	amA, _, _, log := newRuleDrivenAMA(t)
+	done := Violation{Tag: rules.TagNotEnoughTasks,
+		Snapshot: contract.Snapshot{StreamDone: true}}
+	amA.deliver(done)
+	amA.deliver(done)
+	if err := amA.RunOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if got := log.Count("AM_A", trace.EndStream); got != 1 {
+		t.Fatalf("endStream must be logged exactly once, got %d:\n%s", got, log.Timeline())
+	}
+	if log.Count("AM_A", trace.IncRate) != 0 {
+		t.Fatalf("incRate after endStream:\n%s", log.Timeline())
+	}
+}
+
 func TestPipeRuleSourceParses(t *testing.T) {
 	e := rules.NewPipeEngine()
 	if len(e.Rules()) != 3 {

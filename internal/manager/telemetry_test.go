@@ -28,16 +28,14 @@ func hasEvent(r telemetry.DecisionRecord, kind trace.Kind) bool {
 // TestDecisionTraceCausalChain replays the Fig. 4 narrative on a manual
 // clock as a causal chain: the farm stage manager AM_F senses a starving
 // stream, its CheckInterArrivalRateLow rule raises notEnoughTasks, and
-// the application manager AM_A reacts with incRate — and both decision
-// records carry the same causality id.
+// the application manager AM_A's ReactNotEnough rule answers with incRate
+// — and both decision records carry the same causality id.
 func TestDecisionTraceCausalChain(t *testing.T) {
 	clock := simclock.NewManual(time.Date(2009, 5, 25, 10, 0, 0, 0, time.UTC))
 	log := trace.NewLog()
 	tracer := telemetry.NewTracer(0)
 
-	parentCtrl := &stub{}
-	coord := &PipelineCoordinator{}
-	parent, err := NewPipelineManager("AM_A", parentCtrl, coord, log, clock, time.Second)
+	parent, err := NewRuleDrivenPipelineManager("AM_A", &stub{}, nil, 0, 0, log, clock, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +133,17 @@ func TestDecisionTraceCausalChain(t *testing.T) {
 	}
 	if parentRec.Actions[0].Op != string(trace.IncRate) {
 		t.Fatalf("parent actions = %+v", parentRec.Actions)
+	}
+	// AM_A's plan phase records its own rule verdicts: ReactNotEnough is
+	// the one that fired, under the child's cause id.
+	var parentFired []string
+	for _, rv := range parentRec.Rules {
+		if rv.Fired {
+			parentFired = append(parentFired, rv.Rule)
+		}
+	}
+	if len(parentFired) != 1 || parentFired[0] != "ReactNotEnough" {
+		t.Fatalf("AM_A fired %v, want [ReactNotEnough]", parentFired)
 	}
 	for _, ph := range []int64{childRec.Phases.Sense, childRec.Phases.Analyze,
 		childRec.Phases.Plan, childRec.Phases.Act} {

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -208,13 +209,23 @@ func (l *lexer) next() (token, error) {
 				break
 			}
 			if c == '\\' && l.pos < len(l.src) {
-				c = l.advance()
-				switch c {
-				case 'n':
-					c = '\n'
-				case 't':
-					c = '\t'
+				// Escapes are Go's, so every literal the printer writes
+				// with %q reads back unchanged. The longest escape,
+				// \U0010FFFF, spans 10 runes.
+				start := l.pos - 1
+				rest := string(l.src[start:min(start+10, len(l.src))])
+				v, multibyte, tail, err := strconv.UnquoteChar(rest, '"')
+				if err != nil {
+					return token{}, &SyntaxError{Line: line, Msg: "bad escape in string literal"}
 				}
+				// A valid escape is ASCII: bytes consumed = runes consumed.
+				l.pos = start + len(rest) - len(tail)
+				if multibyte {
+					b.WriteRune(v)
+				} else {
+					b.WriteByte(byte(v))
+				}
+				continue
 			}
 			b.WriteRune(c)
 		}

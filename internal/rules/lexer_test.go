@@ -99,6 +99,17 @@ func TestLexStringEscapes(t *testing.T) {
 	if toks[0].text != "a\nb\tc\"d" {
 		t.Fatalf("string = %q", toks[0].text)
 	}
+	// Go's escapes, as the printer writes them with %q.
+	toks, err = lexAll(`"\x00\x19\u00e9\\"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if toks[0].text != "\x00\x19é\\" {
+		t.Fatalf("string = %q", toks[0].text)
+	}
+	if _, err := lexAll(`"\q"`); err == nil {
+		t.Fatal("unknown escape accepted")
+	}
 }
 
 func TestLexUnterminatedString(t *testing.T) {

@@ -1,13 +1,11 @@
 package rules
 
 // The paper stores *all* manager policies as JBoss rules (§4.2). Besides
-// the farm rule file of Fig. 5, this repository also ships the application
+// the farm rule file of Fig. 5, this repository ships the application
 // (pipeline) manager's reaction policy in rule form: child violations are
 // published into working memory as ViolationBeans and the rules below map
-// them onto the incRate / decRate / endStream reactions of Fig. 4. The
-// rule-driven pipeline manager (internal/manager, rulepipe.go) behaves
-// identically to the hard-coded PipelineCoordinator policy — a parity the
-// tests assert.
+// them onto the incRate / decRate / endStream reactions of Fig. 4. Every
+// pipeline's AM_A runs this file (internal/manager, rulepipe.go).
 
 // Bean and field names used by the pipeline rule file.
 const (
@@ -17,7 +15,7 @@ const (
 )
 
 // Operations fired by the pipeline rule file. Their names double as the
-// trace event kinds so rules-driven runs log the same Fig. 4 events.
+// trace event kinds, so AM_A logs the Fig. 4 events under these names.
 const (
 	OpIncRate   = "incRate"
 	OpDecRate   = "decRate"

@@ -44,10 +44,8 @@ type (
 	Spec = core.Spec
 	// FarmAppConfig parameterizes a farm(seq) application.
 	FarmAppConfig = core.FarmAppConfig
-	// PipelineAppConfig parameterizes a pipe(seq, farm(seq), seq)
-	// application.
-	PipelineAppConfig = core.PipelineAppConfig
-	// StreamAppConfig parameterizes an arbitrary seq/farm pipeline.
+	// StreamAppConfig parameterizes a seq/farm pipeline such as the
+	// Fig. 4 pipe(seq, farm(seq), seq).
 	StreamAppConfig = core.StreamAppConfig
 	// StageSpec describes one stage of a StreamApp.
 	StageSpec = core.StageSpec
@@ -100,13 +98,10 @@ func NewEnv(scale float64) Env {
 // single autonomic manager (the Fig. 3 setup).
 func NewFarmApp(cfg FarmAppConfig) (*App, error) { return core.NewFarmApp(cfg) }
 
-// NewPipelineApp assembles the pipe(seq, farm(seq), seq) application with
-// the AM_A / AM_P / AM_F / AM_C manager hierarchy (the Fig. 4 setup).
-func NewPipelineApp(cfg PipelineAppConfig) (*App, error) { return core.NewPipelineApp(cfg) }
-
-// NewStreamApp assembles an arbitrary pipeline of seq and farm stages,
-// each with its own manager, under one application manager. Use
-// StageSpec.Farmize to apply the §4.2 stage-to-farm transformation.
+// NewStreamApp assembles a pipeline of seq and farm stages, each with its
+// own manager, under one application manager AM_A (the Fig. 4 setup is
+// one such pipeline). Use StageSpec.Farmize to apply the §4.2
+// stage-to-farm transformation.
 func NewStreamApp(cfg StreamAppConfig) (*App, error) { return core.NewStreamApp(cfg) }
 
 // ParseExpr parses a skeleton expression such as
@@ -114,9 +109,9 @@ func NewStreamApp(cfg StreamAppConfig) (*App, error) { return core.NewStreamApp(
 func ParseExpr(src string) (*Spec, error) { return core.ParseExpr(src) }
 
 // BuildFromExpr assembles an application from a skeleton expression using
-// whichever of the two configs matches its shape.
-func BuildFromExpr(expr string, farmCfg FarmAppConfig, pipeCfg PipelineAppConfig) (*App, error) {
-	return core.BuildFromExpr(expr, farmCfg, pipeCfg)
+// whichever of the two configs matches its shape (see core.BuildFromExpr).
+func BuildFromExpr(expr string, farmCfg FarmAppConfig, streamCfg StreamAppConfig) (*App, error) {
+	return core.BuildFromExpr(expr, farmCfg, streamCfg)
 }
 
 // ParseContract parses the textual contract syntax, e.g.

@@ -98,7 +98,7 @@ func TestFacadeBuildFromExpr(t *testing.T) {
 	env := NewEnv(1000)
 	app, err := BuildFromExpr("farm(seq)",
 		FarmAppConfig{Env: env, Platform: NewSMP(4), Tasks: 5, TaskWork: time.Millisecond},
-		PipelineAppConfig{})
+		StreamAppConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
