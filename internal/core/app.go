@@ -79,6 +79,9 @@ type App struct {
 	// keyed by manager name (see supervision.go). The chaos soak and the
 	// telemetry plane read restart counts and causes from it.
 	Supervisors map[string]*runtime.Supervisor
+	// concerns lists the concern managers' control loops in /managers
+	// order; RunContext runs each under its own supervisor.
+	concerns []concern
 
 	// SamplePeriod is the sampling period of the result series, in
 	// modelled time on Env.Clock. Default 500ms, the builders' default.
@@ -88,8 +91,7 @@ type App struct {
 	// surface.
 	Grace time.Duration
 
-	stages        []skel.Stage
-	startSecurity bool
+	stages []skel.Stage
 
 	// Introspection plane (see telemetry.go): the registry and tracer are
 	// assembled by the builders; the server exists only after
@@ -105,10 +107,22 @@ type App struct {
 	managerLinks     []*manager.RemoteLink
 	managerEndpoints []*manager.ParentEndpoint
 
-	// Self-healing plane (see supervision.go): per-loop supervisors for
-	// the concern managers and the shared restart-downtime histogram.
-	gmSuper, secSuper, faultSuper, migSuper *runtime.Supervisor
-	mttr                                    *metrics.Histogram
+	// Self-healing plane (see supervision.go): the shared restart-downtime
+	// histogram.
+	mttr *metrics.Histogram
+}
+
+// concern is one concern manager's control loop (GM, AM_sec, AM_ft,
+// AM_mig): its row in /managers and, once initSupervision has wired it,
+// the supervisor RunContext runs it under.
+type concern struct {
+	loop interface {
+		Name() string
+		runtime.Runnable
+	}
+	kind  string // the /managers concern label
+	state string // the /managers state
+	sup   *runtime.Supervisor
 }
 
 // Contract installs the top-level SLA on the root manager (propagating
@@ -179,17 +193,8 @@ func (a *App) RunContext(ctx context.Context) (*Result, error) {
 	if a.telemetryServer != nil {
 		mgmt.Go(a.telemetryServer.Run)
 	}
-	switch {
-	case a.GM != nil:
-		mgmt.Go(supervised(a.gmSuper, a.GM.Run))
-	case a.Security != nil && a.startSecurity:
-		mgmt.Go(supervised(a.secSuper, a.Security.Run))
-	}
-	if a.Fault != nil {
-		mgmt.Go(supervised(a.faultSuper, a.Fault.Run))
-	}
-	if a.Migration != nil {
-		mgmt.Go(supervised(a.migSuper, a.Migration.Run))
+	for _, c := range a.concerns {
+		mgmt.Go(c.sup.Run)
 	}
 	mgmt.Go(func(ctx context.Context) error { // sampler
 		ticker := clock.NewTicker(sample)

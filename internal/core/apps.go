@@ -69,10 +69,10 @@ type FarmAppConfig struct {
 	Executors skel.ExecutorFactory
 	Selector  skel.Selector
 
-	// DispatchBatch > 1 turns on the farm's batched dispatch hot path (up
-	// to N tasks per worker per sealed envelope); BatchFlush bounds the
-	// latency a partial batch may wait for more input. Zero values keep the
-	// per-task path, byte-identical to the unbatched farm.
+	// DispatchBatch caps how many tasks the farm seals into one envelope
+	// per worker (0 or 1 = one task per envelope); BatchFlush bounds the
+	// latency a partial batch may wait for more input. There is one
+	// dispatch path either way: every envelope is a batch of N ≥ 1 tasks.
 	DispatchBatch int
 	BatchFlush    time.Duration
 
@@ -348,7 +348,9 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 		gm.Coordinate(farmABC)
 		app.Security = sec
 		app.GM = gm
-		app.startSecurity = cfg.Coordination == manager.Reactive
+		app.concerns = append(app.concerns,
+			concern{loop: gm, kind: "coordination", state: gm.Mode().String()},
+			concern{loop: sec, kind: "security", state: "active"})
 	}
 
 	if cfg.WithFaultTolerance {
@@ -369,6 +371,7 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 		}
 		ft.Watch(farmABC)
 		app.Fault = ft
+		app.concerns = append(app.concerns, concern{loop: ft, kind: "faultTolerance", state: "active"})
 	}
 
 	if cfg.WithMigration {
@@ -383,6 +386,7 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 		}
 		mig.Watch(farmABC)
 		app.Migration = mig
+		app.concerns = append(app.concerns, concern{loop: mig, kind: "migration", state: "active"})
 	}
 
 	app.initSupervision(jit)

@@ -40,8 +40,10 @@ func (a *App) initSupervision(jit func() float64) {
 		a.Supervisors[m.Name()] = m.Supervisor()
 	})
 
-	concern := func(name string, r runtime.Runnable) *runtime.Supervisor {
-		s := runtime.NewSupervisor(r, runtime.SupervisorConfig{
+	for i := range a.concerns {
+		c := &a.concerns[i]
+		name := c.loop.Name()
+		c.sup = runtime.NewSupervisor(c.loop, runtime.SupervisorConfig{
 			Name:    name,
 			Clock:   clock,
 			Backoff: backoff,
@@ -50,31 +52,8 @@ func (a *App) initSupervision(jit func() float64) {
 				observe(cause, downtime)
 			},
 		})
-		a.Supervisors[name] = s
-		return s
+		a.Supervisors[name] = c.sup
 	}
-	if a.GM != nil {
-		a.gmSuper = concern(a.GM.Name(), a.GM)
-	}
-	if a.Security != nil {
-		a.secSuper = concern(a.Security.Name(), a.Security)
-	}
-	if a.Fault != nil {
-		a.faultSuper = concern(a.Fault.Name(), a.Fault)
-	}
-	if a.Migration != nil {
-		a.migSuper = concern(a.Migration.Name(), a.Migration)
-	}
-}
-
-// supervised returns the supervisor's Run when one was wired (the builders
-// always wire them); bare hands-assembled Apps fall back to the unmanaged
-// loop.
-func supervised(s *runtime.Supervisor, bare runtime.Func) runtime.Func {
-	if s != nil {
-		return s.Run
-	}
-	return bare
 }
 
 // ManagerMTTR returns the shared restart-downtime histogram (nil before

@@ -136,9 +136,7 @@ func (a *App) initTelemetry(farmIns *skel.FarmInstruments) {
 			nil, a.mttr)
 	}
 	if a.GM != nil {
-		a.GM.SetTracer(tracer)
-	} else if a.Security != nil {
-		a.Security.SetTracer(tracer)
+		a.GM.SetTracer(tracer) // and its security manager's
 	}
 
 	if farmIns != nil {
@@ -319,21 +317,8 @@ func (a *App) managersView() *ManagersView {
 	if a.RootManager != nil {
 		view.Root = build(a.RootManager)
 	}
-	if a.GM != nil {
-		view.Concerns = append(view.Concerns,
-			node(a.GM.Name(), "coordination", a.GM.Mode().String(), ""))
-	}
-	if a.Security != nil {
-		view.Concerns = append(view.Concerns,
-			node(a.Security.Name(), "security", "active", ""))
-	}
-	if a.Fault != nil {
-		view.Concerns = append(view.Concerns,
-			node(a.Fault.Name(), "faultTolerance", "active", ""))
-	}
-	if a.Migration != nil {
-		view.Concerns = append(view.Concerns,
-			node(a.Migration.Name(), "migration", "active", ""))
+	for _, c := range a.concerns {
+		view.Concerns = append(view.Concerns, node(c.loop.Name(), c.kind, c.state, ""))
 	}
 	for _, l := range a.managerLinks {
 		c := l.Child()

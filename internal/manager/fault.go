@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/abc"
@@ -63,20 +62,16 @@ type FaultConfig struct {
 	// recruitment errors are retried under it, while pool exhaustion and
 	// end of stream fail fast. The zero value uses the runtime defaults.
 	Retry runtime.Backoff
-	// PollOnly disables the crash-edge wake-up, leaving only the periodic
-	// detection tick (the wake-up latency benchmark's baseline).
-	PollOnly bool
 }
 
-// FaultManager is the AM of the fault-tolerance concern.
+// FaultManager is the AM of the fault-tolerance concern. Its detection
+// loop wakes on every crash edge of a watched farm as well as on the tick.
 type FaultManager struct {
+	loop
 	cfg     FaultConfig
-	clock   simclock.Clock
-	log     *trace.Log
 	replace bool
 
 	mu          sync.Mutex
-	farms       []*abc.FarmABC
 	recovered   int
 	replaced    int
 	suspected   int
@@ -95,14 +90,6 @@ type FaultManager struct {
 	// the violation upward instead of silently wedging the loop.
 	degraded        bool
 	recruitFailures uint64
-
-	// crashFlag marks a pending injected crash: the detection loop dies on
-	// its next wake and the supervisor restarts it. Detector state (crash
-	// charges, progress marks) survives in the struct.
-	crashFlag atomic.Bool
-
-	running atomic.Bool
-	life    runtime.Lifecycle
 }
 
 // progressEntry tracks a worker's last observed progress for the timeout
@@ -140,13 +127,17 @@ func NewFaultManager(cfg FaultConfig) (*FaultManager, error) {
 	if cfg.Replace != nil {
 		replace = *cfg.Replace
 	}
-	return &FaultManager{
-		cfg: cfg, clock: cfg.Clock, log: cfg.Log, replace: replace,
+	m := &FaultManager{
+		loop:         loop{name: cfg.Name, clock: cfg.Clock, log: cfg.Log, period: cfg.Period, edges: true},
+		cfg:          cfg,
+		replace:      replace,
 		progress:     map[string]progressEntry{},
 		seen:         map[string]time.Time{},
 		nodeCrashes:  map[string]int{},
 		crashCounted: map[string]bool{},
-	}, nil
+	}
+	m.cycle = func() { m.RunOnce() }
+	return m, nil
 }
 
 // Suspected returns how many stalled workers the timeout detector
@@ -156,9 +147,6 @@ func (m *FaultManager) Suspected() int {
 	defer m.mu.Unlock()
 	return m.suspected
 }
-
-// Name returns the manager's name.
-func (m *FaultManager) Name() string { return m.cfg.Name }
 
 // Recovered returns how many crashes were repaired.
 func (m *FaultManager) Recovered() int {
@@ -225,7 +213,7 @@ func (m *FaultManager) recruit(kind string, add func() (string, error)) (string,
 		m.degraded = true
 		m.mu.Unlock()
 		if entered {
-			m.log.Record(m.clock.Now(), m.cfg.Name, trace.RaiseViol,
+			m.log.Record(m.clock.Now(), m.name, trace.RaiseViol,
 				fmt.Sprintf("%s recruitment failed, degraded: %v", kind, err))
 		}
 		return "", err
@@ -234,7 +222,7 @@ func (m *FaultManager) recruit(kind string, add func() (string, error)) (string,
 	m.degraded = false
 	m.mu.Unlock()
 	if left {
-		m.log.Record(m.clock.Now(), m.cfg.Name, trace.EnterActive,
+		m.log.Record(m.clock.Now(), m.name, trace.EnterActive,
 			fmt.Sprintf("recruitment restored (%s)", kind))
 	}
 	return id, nil
@@ -260,31 +248,19 @@ func (m *FaultManager) chargeCrash(workerID, nodeID string) {
 	}
 	m.mu.Unlock()
 	if tripped && m.cfg.RM.Quarantine(nodeID, m.cfg.QuarantineCooldown) {
-		m.log.Record(m.clock.Now(), m.cfg.Name, trace.Quarantine,
+		m.log.Record(m.clock.Now(), m.name, trace.Quarantine,
 			fmt.Sprintf("%s: %d worker crashes, cooling down for %v",
 				nodeID, m.cfg.QuarantineAfter, m.cfg.QuarantineCooldown))
 	}
-}
-
-// Watch registers a farm for fault supervision.
-func (m *FaultManager) Watch(f *abc.FarmABC) {
-	m.mu.Lock()
-	m.farms = append(m.farms, f)
-	m.mu.Unlock()
 }
 
 // RunOnce performs one detection cycle: every crashed worker found in a
 // watched farm is recovered (its stranded tasks redistributed) and, when
 // configured, replaced. It returns the number of crashes repaired.
 func (m *FaultManager) RunOnce() int {
-	m.mu.Lock()
-	farms := make([]*abc.FarmABC, len(m.farms))
-	copy(farms, m.farms)
-	m.mu.Unlock()
-
 	repaired := 0
 	live := map[string]bool{}
-	for _, fa := range farms {
+	for _, fa := range m.watched() {
 		if m.cfg.SuspectAfter > 0 {
 			m.suspectStalled(fa)
 		}
@@ -293,7 +269,7 @@ func (m *FaultManager) RunOnce() int {
 				live[w.ID] = true
 				continue
 			}
-			m.log.Record(m.clock.Now(), m.cfg.Name, trace.WorkerFail,
+			m.log.Record(m.clock.Now(), m.name, trace.WorkerFail,
 				fmt.Sprintf("%s on %s (%d tasks stranded)", w.ID, w.Node.ID, w.QueueLen))
 			m.chargeCrash(w.ID, w.Node.ID)
 			n, err := fa.Farm().RecoverWorker(w.ID)
@@ -316,7 +292,7 @@ func (m *FaultManager) RunOnce() int {
 			m.mu.Lock()
 			m.recovered++
 			m.mu.Unlock()
-			m.log.Record(m.clock.Now(), m.cfg.Name, trace.Recovered,
+			m.log.Record(m.clock.Now(), m.name, trace.Recovered,
 				fmt.Sprintf("%s: %d tasks redistributed", w.ID, n))
 			if m.replace {
 				farm, prep := fa.Farm(), fa.Prepare()
@@ -326,7 +302,7 @@ func (m *FaultManager) RunOnce() int {
 					m.mu.Lock()
 					m.replaced++
 					m.mu.Unlock()
-					m.log.Record(m.clock.Now(), m.cfg.Name, trace.AddWorker,
+					m.log.Record(m.clock.Now(), m.name, trace.AddWorker,
 						fmt.Sprintf("%s replaces %s", id, w.ID))
 				}
 			}
@@ -397,66 +373,8 @@ func (m *FaultManager) suspectStalled(fa *abc.FarmABC) {
 		m.suspected++
 		delete(m.progress, w.ID)
 		m.mu.Unlock()
-		m.log.Record(now, m.cfg.Name, trace.WorkerFail,
+		m.log.Record(now, m.name, trace.WorkerFail,
 			fmt.Sprintf("%s suspected stalled (no progress for %v, %d queued)",
 				w.ID, m.cfg.SuspectAfter, w.QueueLen))
 	}
 }
-
-// Run executes the detection loop until ctx is canceled, then returns nil.
-// Besides the periodic tick, every farm watched at the time Run starts
-// contributes its crash edge as a wake-up (unless PollOnly), so an
-// injected fault is detected in milliseconds rather than after up to one
-// detection period. Run returns an error immediately if the loop is
-// already running.
-func (m *FaultManager) Run(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !m.running.CompareAndSwap(false, true) {
-		return fmt.Errorf("manager %s: detection loop already running", m.cfg.Name)
-	}
-	defer m.running.Store(false)
-
-	var wake runtime.Notifier
-	if !m.cfg.PollOnly {
-		m.mu.Lock()
-		farms := make([]*abc.FarmABC, len(m.farms))
-		copy(farms, m.farms)
-		m.mu.Unlock()
-		for _, fa := range farms {
-			defer fa.OnEdge(wake.Notify)()
-		}
-	}
-	ticker := m.clock.NewTicker(m.cfg.Period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C():
-		case <-wake.C():
-		}
-		if m.crashFlag.CompareAndSwap(true, false) {
-			m.log.Record(m.clock.Now(), m.cfg.Name, trace.Crashed, "injected")
-			return fmt.Errorf("manager %s: %w", m.cfg.Name, ErrInjectedCrash)
-		}
-		m.RunOnce()
-	}
-}
-
-// InjectCrash marks the detection loop for an injected crash on its next
-// wake; the supervisor restarts it with the detector state intact.
-// Returns true (the fault is always deliverable).
-func (m *FaultManager) InjectCrash() bool {
-	m.crashFlag.Store(true)
-	return true
-}
-
-// Start launches the detection loop on a background goroutine. A second
-// Start while running is a no-op.
-func (m *FaultManager) Start() { m.life.Start(m.Run) }
-
-// Stop terminates the detection loop and waits for it to exit. It is
-// idempotent.
-func (m *FaultManager) Stop() { _ = m.life.Stop() }

@@ -2,6 +2,9 @@ package manager
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +23,14 @@ type lifecycler interface {
 	Run(ctx context.Context) error
 }
 
-func newLifecycleManagers(t *testing.T) map[string]lifecycler {
+// lifecycleCase is one manager under test: its lifecycle surface and the
+// flag its loop holds while running.
+type lifecycleCase struct {
+	m       lifecycler
+	running *atomic.Bool
+}
+
+func newLifecycleManagers(t *testing.T) map[string]lifecycleCase {
 	t.Helper()
 	log := trace.NewLog()
 	farm, err := skel.NewFarm(skel.FarmConfig{
@@ -34,7 +44,27 @@ func newLifecycleManagers(t *testing.T) map[string]lifecycler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, err := NewFaultManager(FaultConfig{Log: log, Period: time.Millisecond})
+	cases := map[string]lifecycleCase{"manager": {am, &am.running}}
+	for name, c := range newConcernLoops(t, log) {
+		cases[name] = lifecycleCase{c.m, &c.loop.running}
+	}
+	return cases
+}
+
+// concernCase is one concern manager under test: its lifecycle surface,
+// the loop it embeds, and a piece of the concern's own state that an
+// injected crash must not wipe (set plants it, check verifies it).
+type concernCase struct {
+	m     lifecycler
+	loop  *loop
+	set   func()
+	check func() error
+}
+
+// newConcernLoops builds the four concern managers on a 1ms period.
+func newConcernLoops(t *testing.T, log *trace.Log) map[string]concernCase {
+	t.Helper()
+	ft, err := NewFaultManager(FaultConfig{Log: log, Period: time.Millisecond, RM: grid.NewSMP(4).RM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,36 +80,38 @@ func newLifecycleManagers(t *testing.T) map[string]lifecycler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]lifecycler{
-		"manager":   am,
-		"fault":     ft,
-		"migration": mig,
-		"security":  sec,
-		"general":   gm,
+	gm.SetPeriod(time.Millisecond)
+	want := func(what string, got, want int) error {
+		if got != want {
+			return fmt.Errorf("%s = %d after restart, want %d", what, got, want)
+		}
+		return nil
+	}
+	return map[string]concernCase{
+		"fault": {ft, &ft.loop,
+			func() { ft.chargeCrash("w0", "n0") },
+			func() error {
+				ft.mu.Lock()
+				defer ft.mu.Unlock()
+				return want("crash charges of n0", ft.nodeCrashes["n0"], 1)
+			}},
+		"migration": {mig, &mig.loop,
+			func() { mig.mu.Lock(); mig.migrated = 3; mig.mu.Unlock() },
+			func() error { return want("migrations", mig.Migrated(), 3) }},
+		"security": {sec, &sec.loop,
+			func() { sec.mu.Lock(); sec.secured = 2; sec.mu.Unlock() },
+			func() error { return want("secured bindings", sec.Secured(), 2) }},
+		// Reactive mode: the GM never re-issues, so the pending intent stays.
+		"general": {gm, &gm.loop,
+			func() { gm.recordAbort(&abc.FarmABC{}) },
+			func() error { return want("pending intents", gm.PendingIntents(), 1) }},
 	}
 }
 
-// isRunning reports whether the manager's loop goroutine is live.
-func isRunning(m lifecycler) bool {
-	switch v := m.(type) {
-	case *Manager:
-		return v.running.Load()
-	case *FaultManager:
-		return v.running.Load()
-	case *MigrationManager:
-		return v.running.Load()
-	case *SecurityManager:
-		return v.running.Load()
-	case *GeneralManager:
-		return v.running.Load()
-	}
-	return false
-}
-
-func waitRunning(t *testing.T, m lifecycler) {
+func waitRunning(t *testing.T, running *atomic.Bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for !isRunning(m) {
+	for !running.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("loop never came up")
 		}
@@ -92,18 +124,22 @@ func waitRunning(t *testing.T, m lifecycler) {
 // idempotent, that a second concurrent Run is refused, and that no
 // goroutine outlives Stop.
 func TestManagerLifecycleIdempotence(t *testing.T) {
-	for name, m := range newLifecycleManagers(t) {
-		m := m
+	for name, c := range newLifecycleManagers(t) {
+		m := c.m
+		running := c.running
 		t.Run(name, func(t *testing.T) {
 			defer leaktest.Check(t)()
 			m.Start()
 			m.Start() // second Start: no-op, no second loop
-			waitRunning(t, m)
+			waitRunning(t, running)
 			if err := m.Run(context.Background()); err == nil {
 				t.Fatal("concurrent Run while started: want error, got nil")
 			}
 			m.Stop()
 			m.Stop() // second Stop: no-op
+			if running.Load() {
+				t.Fatal("loop still running after Stop")
+			}
 			// Restart after Stop must work.
 			m.Start()
 			m.Stop()
@@ -114,13 +150,58 @@ func TestManagerLifecycleIdempotence(t *testing.T) {
 // TestManagerLifecycleStartStopCycles hammers Start/Stop to catch leaked
 // loop goroutines or lost wake subscriptions across restarts.
 func TestManagerLifecycleStartStopCycles(t *testing.T) {
-	for name, m := range newLifecycleManagers(t) {
-		m := m
+	for name, c := range newLifecycleManagers(t) {
+		m := c.m
 		t.Run(name, func(t *testing.T) {
 			defer leaktest.Check(t)()
 			for i := 0; i < 10; i++ {
 				m.Start()
 				m.Stop()
+			}
+		})
+	}
+}
+
+// TestConcernLoopCrashKeepsState checks the injected-crash path every
+// concern loop shares: after InjectCrash the next wake ends Run with
+// ErrInjectedCrash (logged once as a crash), and the restarted loop runs
+// on with the concern's state intact.
+func TestConcernLoopCrashKeepsState(t *testing.T) {
+	log := trace.NewLog()
+	for name, c := range newConcernLoops(t, log) {
+		c := c
+		t.Run(name, func(t *testing.T) {
+			defer leaktest.Check(t)()
+			c.set()
+			if !c.loop.InjectCrash() {
+				t.Fatal("InjectCrash refused")
+			}
+			done := make(chan error, 1)
+			go func() { done <- c.m.Run(context.Background()) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrInjectedCrash) {
+					t.Fatalf("Run after InjectCrash = %v, want ErrInjectedCrash", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("injected crash never ended Run")
+			}
+			if n := log.Count(c.loop.Name(), trace.Crashed); n != 1 {
+				t.Fatalf("%d crash records, want 1", n)
+			}
+
+			// The restart: the flag was consumed, so the loop keeps cycling
+			// until it is canceled.
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() { done <- c.m.Run(ctx) }()
+			waitRunning(t, &c.loop.running)
+			time.Sleep(10 * time.Millisecond) // several 1ms cycles
+			cancel()
+			if err := <-done; err != nil {
+				t.Fatalf("restarted Run = %v, want nil", err)
+			}
+			if err := c.check(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -105,10 +105,6 @@ type Config struct {
 	// manager chase measurement transients. Monitoring and verdict
 	// logging stay on throughout.
 	WarmUp time.Duration
-	// PollOnly disables the event-driven wake-up even when the Controller
-	// implements abc.WakeSource, leaving only the periodic tick. It exists
-	// as the baseline for the wake-up latency benchmark.
-	PollOnly bool
 	// Skew is the tolerance applied when the manager compares timestamps
 	// that may originate on different processes (the warm-up window after
 	// a cross-process checkpoint restore, link lease math). Nil installs a
@@ -690,12 +686,11 @@ drained:
 
 // Run executes the MAPE control loop until ctx is canceled, then returns
 // nil (clean shutdown). Iterations are triggered by the periodic tick and
-// — when the controller implements abc.WakeSource and PollOnly is unset —
-// by skeleton edges (worker crash, end of stream), which wake the loop
-// immediately instead of after up to one full period. RunOnce errors are
-// logged and the loop continues: a bad rule cycle must not kill
-// supervision. Run returns an error immediately if the loop is already
-// running.
+// — when the controller implements abc.WakeSource — by skeleton edges
+// (worker crash, end of stream), which wake the loop immediately instead
+// of after up to one full period. RunOnce errors are logged and the loop
+// continues: a bad rule cycle must not kill supervision. Run returns an
+// error immediately if the loop is already running.
 func (m *Manager) Run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -711,7 +706,7 @@ func (m *Manager) Run(ctx context.Context) error {
 	m.recoverIfCrashed()
 
 	var wake runtime.Notifier
-	if ws, ok := m.cfg.Controller.(abc.WakeSource); ok && !m.cfg.PollOnly {
+	if ws, ok := m.cfg.Controller.(abc.WakeSource); ok {
 		// Stamp the oldest unserviced edge so RunOnce can report the
 		// wake-to-decision latency (the edge-notifier claim of the paper's
 		// "react within a control period" argument, made measurable).

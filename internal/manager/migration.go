@@ -1,15 +1,11 @@
 package manager
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/abc"
 	"repro/internal/grid"
-	"repro/internal/runtime"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
@@ -19,18 +15,14 @@ import (
 // loop watches the nodes hosting farm workers and, when a node's external
 // load exceeds a threshold, moves the worker (queue, binding codec and
 // all) to a freshly recruited node, instead of — or in addition to —
-// growing the farm.
+// growing the farm. External load has no skeleton edge — load is sampled,
+// not evented — so the loop is purely periodic.
 type MigrationManager struct {
-	cfg   MigrationConfig
-	clock simclock.Clock
-	log   *trace.Log
+	loop
+	cfg MigrationConfig
 
 	mu       sync.Mutex
-	farms    []*abc.FarmABC
 	migrated int
-
-	running atomic.Bool
-	life    runtime.Lifecycle
 }
 
 // MigrationConfig parameterizes a MigrationManager.
@@ -67,11 +59,13 @@ func NewMigrationManager(cfg MigrationConfig) (*MigrationManager, error) {
 		// Never migrate onto a node as loaded as the one being escaped.
 		cfg.Recruit.MaxExternalLoad = cfg.MaxLoad
 	}
-	return &MigrationManager{cfg: cfg, clock: cfg.Clock, log: cfg.Log}, nil
+	m := &MigrationManager{
+		loop: loop{name: cfg.Name, clock: cfg.Clock, log: cfg.Log, period: cfg.Period},
+		cfg:  cfg,
+	}
+	m.cycle = func() { m.RunOnce() }
+	return m, nil
 }
-
-// Name returns the manager's name.
-func (m *MigrationManager) Name() string { return m.cfg.Name }
 
 // Migrated returns how many workers were moved.
 func (m *MigrationManager) Migrated() int {
@@ -80,23 +74,12 @@ func (m *MigrationManager) Migrated() int {
 	return m.migrated
 }
 
-// Watch registers a farm for load supervision.
-func (m *MigrationManager) Watch(f *abc.FarmABC) {
-	m.mu.Lock()
-	m.farms = append(m.farms, f)
-	m.mu.Unlock()
-}
-
 // RunOnce performs one observation cycle and returns how many workers it
 // moved. A migration that fails (no acceptable destination) is skipped
 // silently; the performance manager's addWorker path remains the fallback.
 func (m *MigrationManager) RunOnce() int {
-	m.mu.Lock()
-	farms := make([]*abc.FarmABC, len(m.farms))
-	copy(farms, m.farms)
-	m.mu.Unlock()
 	moved := 0
-	for _, fa := range farms {
+	for _, fa := range m.watched() {
 		for _, w := range fa.Workers() {
 			if w.Failed || w.Node == nil {
 				continue
@@ -112,43 +95,10 @@ func (m *MigrationManager) RunOnce() int {
 			m.mu.Lock()
 			m.migrated++
 			m.mu.Unlock()
-			m.log.Record(m.clock.Now(), m.cfg.Name, trace.Migrated,
+			m.log.Record(m.clock.Now(), m.name, trace.Migrated,
 				fmt.Sprintf("%s (%s, load %.0f%%) -> %s", w.ID, w.Node.ID,
 					w.Node.ExternalLoad()*100, newID))
 		}
 	}
 	return moved
 }
-
-// Run executes the observation loop until ctx is canceled, then returns
-// nil. External load changes have no skeleton edge — load is sampled, not
-// evented — so migration stays purely periodic. Run returns an error
-// immediately if the loop is already running.
-func (m *MigrationManager) Run(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !m.running.CompareAndSwap(false, true) {
-		return fmt.Errorf("manager %s: observation loop already running", m.cfg.Name)
-	}
-	defer m.running.Store(false)
-
-	ticker := m.clock.NewTicker(m.cfg.Period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C():
-			m.RunOnce()
-		}
-	}
-}
-
-// Start launches the observation loop on a background goroutine. A second
-// Start while running is a no-op.
-func (m *MigrationManager) Start() { m.life.Start(m.Run) }
-
-// Stop terminates the observation loop and waits for it to exit. It is
-// idempotent.
-func (m *MigrationManager) Stop() { _ = m.life.Stop() }

@@ -1,7 +1,6 @@
 package manager
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/abc"
 	"repro/internal/grid"
 	"repro/internal/rules"
-	"repro/internal/runtime"
 	"repro/internal/security"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
@@ -75,16 +73,17 @@ type SecurityConfig struct {
 
 // SecurityManager is the AM of the security concern C_sec. In two-phase
 // mode it acts during the prepare step of farm reconfigurations; in
-// reactive mode it runs its own control loop scanning for bindings that
-// violate the policy.
+// reactive mode its control loop scans the watched farms for bindings that
+// violate the policy. That loop is deliberately tick-only: farms fire no
+// edge on worker *addition*, so a reactively managed binding stays exposed
+// until the next security cycle — exactly the §3.2 hazard window the
+// MultiConcern experiment measures.
 type SecurityManager struct {
+	loop
 	cfg    SecurityConfig
-	clock  simclock.Clock
-	log    *trace.Log
 	tracer *telemetry.Tracer
 
 	mu      sync.Mutex
-	farms   []*abc.FarmABC
 	secured int
 
 	// downUntil (clock UnixNano) is the end of the current crash window:
@@ -94,9 +93,6 @@ type SecurityManager struct {
 	// supervised replacement accepting requests again.
 	downUntil atomic.Int64
 	crashes   atomic.Uint64
-
-	running atomic.Bool
-	life    runtime.Lifecycle
 }
 
 // NewSecurityManager validates cfg and builds the manager.
@@ -114,11 +110,13 @@ func NewSecurityManager(cfg SecurityConfig) (*SecurityManager, error) {
 	if cfg.Period <= 0 {
 		cfg.Period = 100 * time.Millisecond
 	}
-	return &SecurityManager{cfg: cfg, clock: cfg.Clock, log: cfg.Log}, nil
+	s := &SecurityManager{
+		loop: loop{name: cfg.Name, clock: cfg.Clock, log: cfg.Log, period: cfg.Period},
+		cfg:  cfg,
+	}
+	s.cycle = func() { s.RunOnce() }
+	return s, nil
 }
-
-// Name returns the manager's name.
-func (s *SecurityManager) Name() string { return s.cfg.Name }
 
 // SetTracer attaches the decision tracer; a nil tracer disables decision
 // tracing (the default).
@@ -129,14 +127,6 @@ func (s *SecurityManager) Secured() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.secured
-}
-
-// Watch registers a farm whose bindings the manager supervises in
-// reactive mode.
-func (s *SecurityManager) Watch(f *abc.FarmABC) {
-	s.mu.Lock()
-	s.farms = append(s.farms, f)
-	s.mu.Unlock()
 }
 
 // newCodec builds a fresh secure codec paying the configured handshake.
@@ -154,7 +144,7 @@ func (s *SecurityManager) FailFor(d time.Duration) {
 	}
 	s.downUntil.Store(s.clock.Now().Add(d).UnixNano())
 	s.crashes.Add(1)
-	s.log.Record(s.clock.Now(), s.cfg.Name, trace.Crashed,
+	s.log.Record(s.clock.Now(), s.name, trace.Crashed,
 		fmt.Sprintf("down for %v", d))
 }
 
@@ -178,31 +168,31 @@ func (s *SecurityManager) PrepareWorker(id string, node *grid.Node, setCodec fun
 // so the AM_sec prepare record chains to the GM intent/commit records.
 func (s *SecurityManager) prepareWorker(cause uint64, id string, node *grid.Node, setCodec func(security.Codec)) error {
 	if !s.Available() {
-		return fmt.Errorf("manager %s: preparing %s: %w", s.cfg.Name, id, abc.ErrManagerDown)
+		return fmt.Errorf("manager %s: preparing %s: %w", s.name, id, abc.ErrManagerDown)
 	}
 	if !s.cfg.Policy.RequireSecure(s.cfg.DispatchNode, node) {
 		return nil
 	}
 	codec, err := s.newCodec()
 	if err != nil {
-		return fmt.Errorf("manager %s: securing %s: %w", s.cfg.Name, id, err)
+		return fmt.Errorf("manager %s: securing %s: %w", s.name, id, err)
 	}
 	if !s.Available() {
 		// Died mid-handshake: the binding must not be half-secured — the
 		// codec is discarded, the coordinator aborts, the farm rolls the
 		// worker back before it could receive a single task.
-		return fmt.Errorf("manager %s: died securing %s: %w", s.cfg.Name, id, abc.ErrManagerDown)
+		return fmt.Errorf("manager %s: died securing %s: %w", s.name, id, abc.ErrManagerDown)
 	}
 	setCodec(codec)
 	s.mu.Lock()
 	s.secured++
 	s.mu.Unlock()
 	detail := fmt.Sprintf("%s on %s (%s)", id, node.ID, node.Domain.Name)
-	s.log.Record(s.clock.Now(), s.cfg.Name, trace.Prepared, detail)
-	s.log.Record(s.clock.Now(), s.cfg.Name, trace.Secured, id)
+	s.log.Record(s.clock.Now(), s.name, trace.Prepared, detail)
+	s.log.Record(s.clock.Now(), s.name, trace.Secured, id)
 	if s.tracer != nil {
 		s.tracer.Record(telemetry.DecisionRecord{
-			T: s.clock.Now(), Manager: s.cfg.Name, Concern: "security",
+			T: s.clock.Now(), Manager: s.name, Concern: "security",
 			State: "active", Cause: cause,
 			Actions: []telemetry.ActionRec{{Op: "SECURE_BINDING", Detail: id}},
 			Events: []telemetry.EventRec{
@@ -221,13 +211,9 @@ func (s *SecurityManager) RunOnce() int {
 	if !s.Available() {
 		return 0
 	}
-	s.mu.Lock()
-	farms := make([]*abc.FarmABC, len(s.farms))
-	copy(farms, s.farms)
-	s.mu.Unlock()
 	n := 0
 	var acts []telemetry.ActionRec
-	for _, f := range farms {
+	for _, f := range s.watched() {
 		for _, w := range f.Workers() {
 			if w.Secure || !s.cfg.Policy.RequireSecure(s.cfg.DispatchNode, w.Node) {
 				continue
@@ -243,7 +229,7 @@ func (s *SecurityManager) RunOnce() int {
 			s.mu.Lock()
 			s.secured++
 			s.mu.Unlock()
-			s.log.Record(s.clock.Now(), s.cfg.Name, trace.Secured,
+			s.log.Record(s.clock.Now(), s.name, trace.Secured,
 				fmt.Sprintf("%s (reactive)", w.ID))
 			if s.tracer != nil {
 				acts = append(acts, telemetry.ActionRec{Op: "SECURE_BINDING", Detail: w.ID + " (reactive)"})
@@ -252,47 +238,12 @@ func (s *SecurityManager) RunOnce() int {
 	}
 	if s.tracer != nil && n > 0 {
 		s.tracer.Record(telemetry.DecisionRecord{
-			T: s.clock.Now(), Manager: s.cfg.Name, Concern: "security",
+			T: s.clock.Now(), Manager: s.name, Concern: "security",
 			State: "active", Actions: acts,
 		})
 	}
 	return n
 }
-
-// Run executes the reactive control loop until ctx is canceled, then
-// returns nil. The loop is deliberately tick-only: farms fire no edge on
-// worker *addition*, so a reactively managed binding stays exposed until
-// the next security cycle — exactly the §3.2 hazard window the
-// MultiConcern experiment measures. Run returns an error immediately if
-// the loop is already running.
-func (s *SecurityManager) Run(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !s.running.CompareAndSwap(false, true) {
-		return fmt.Errorf("manager %s: reactive loop already running", s.cfg.Name)
-	}
-	defer s.running.Store(false)
-
-	ticker := s.clock.NewTicker(s.cfg.Period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C():
-			s.RunOnce()
-		}
-	}
-}
-
-// Start launches the reactive control loop on a background goroutine. A
-// second Start while running is a no-op.
-func (s *SecurityManager) Start() { s.life.Start(s.Run) }
-
-// Stop terminates the reactive loop and waits for it to exit. It is
-// idempotent.
-func (s *SecurityManager) Stop() { _ = s.life.Stop() }
 
 // SecurityParticipant is the GM's two-phase participant seam: the local
 // SecurityManager by default, or a RemoteParticipant when the security
@@ -305,22 +256,18 @@ type SecurityParticipant interface {
 	prepareWorker(cause uint64, id string, node *grid.Node, setCodec func(security.Codec)) error
 }
 
-// GeneralManager is the GM of §3.2: it owns the per-concern managers and
-// wires the cross-concern coordination protocol into the farms' actuator
-// paths.
+// GeneralManager is the GM of §3.2: it wires the cross-concern
+// coordination protocol into the farms' actuator paths. Its own control
+// loop (default period 100ms, in the time of its clock) re-issues aborted
+// two-phase intents once the participant is back. The security manager's
+// reactive scan is a loop of its own, supervised beside the GM's.
 type GeneralManager struct {
-	name   string
-	clock  simclock.Clock
-	log    *trace.Log
+	loop
 	sec    *SecurityManager
 	part   SecurityParticipant // two-phase participant; defaults to sec
 	mode   CoordinationMode
 	tracer *telemetry.Tracer
 
-	// period paces the GM's own control loop (crash-flag checks and
-	// re-issue of aborted intents), in the time of the GM's clock.
-	// Default 100ms.
-	period time.Duration
 	// pending counts two-phase intents aborted because the participant was
 	// down, per farm; the GM's loop re-issues them once the participant is
 	// back. This is the GM's durable intent log: an injected GM crash does
@@ -329,10 +276,6 @@ type GeneralManager struct {
 	pending   map[*abc.FarmABC]int
 	aborted   atomic.Uint64
 	reissued  atomic.Uint64
-	crashFlag atomic.Bool
-
-	running atomic.Bool
-	life    runtime.Lifecycle
 }
 
 // maxPendingIntents caps the per-farm re-issue backlog: during a long
@@ -354,10 +297,12 @@ func NewGeneralManager(name string, sec *SecurityManager, log *trace.Log, clock 
 		return nil, fmt.Errorf("manager: %s coordination needs a security manager", mode)
 	}
 	g := &GeneralManager{
-		name: name, clock: clock, log: log, sec: sec, mode: mode,
-		period:  100 * time.Millisecond,
+		loop:    loop{name: name, clock: clock, log: log, period: 100 * time.Millisecond},
+		sec:     sec,
+		mode:    mode,
 		pending: map[*abc.FarmABC]int{},
 	}
+	g.cycle = func() { g.ReissueOnce() }
 	if sec != nil {
 		g.part = sec
 	}
@@ -383,9 +328,6 @@ func (g *GeneralManager) SetPeriod(d time.Duration) {
 		g.period = d
 	}
 }
-
-// Name returns the GM's name.
-func (g *GeneralManager) Name() string { return g.name }
 
 // Mode returns the coordination mode in force.
 func (g *GeneralManager) Mode() CoordinationMode { return g.mode }
@@ -486,15 +428,6 @@ func (g *GeneralManager) PendingIntents() int {
 	return n
 }
 
-// InjectCrash marks the GM for an injected crash: its loop dies on the
-// next tick and the supervisor restarts it. The pending-intent log
-// survives in the struct — the restarted GM resumes the re-issue duty.
-// Returns true (the fault is always deliverable).
-func (g *GeneralManager) InjectCrash() bool {
-	g.crashFlag.Store(true)
-	return true
-}
-
 // ReissueOnce re-drives aborted intents while the participant is up: each
 // one re-runs the full intent -> prepare -> commit ladder through the
 // farm's actuator path (recruiting a fresh node — the rolled-back one may
@@ -545,62 +478,3 @@ func (g *GeneralManager) ReissueOnce() int {
 	}
 	return total
 }
-
-// loop is the GM's own control loop: it watches for injected crashes and
-// re-issues aborted two-phase intents once the participant is back.
-func (g *GeneralManager) loop(ctx context.Context) error {
-	ticker := g.clock.NewTicker(g.period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C():
-		}
-		if g.crashFlag.CompareAndSwap(true, false) {
-			g.log.Record(g.clock.Now(), g.name, trace.Crashed, "injected")
-			return fmt.Errorf("manager %s: %w", g.name, ErrInjectedCrash)
-		}
-		g.ReissueOnce()
-	}
-}
-
-// Run supervises the GM's concern managers until ctx is canceled, then
-// returns nil. The GM owns a small loop of its own in every managed mode:
-// it checks the injected-crash flag and re-issues aborted two-phase
-// intents once the participant recovers. Reactive mode additionally runs
-// the security manager's scanning cycle in the same group. Unmanaged mode
-// just blocks until cancelation. Run returns an error immediately if the
-// GM is already running.
-func (g *GeneralManager) Run(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !g.running.CompareAndSwap(false, true) {
-		return fmt.Errorf("manager %s: already running", g.name)
-	}
-	defer g.running.Store(false)
-
-	switch g.mode {
-	case Reactive:
-		grp, _ := runtime.NewGroup(ctx)
-		if g.sec != nil {
-			grp.Run(g.sec)
-		}
-		grp.Go(g.loop)
-		return grp.Wait()
-	case TwoPhase:
-		return g.loop(ctx)
-	default:
-		<-ctx.Done()
-		return nil
-	}
-}
-
-// Start launches the GM's supervision on a background goroutine. A second
-// Start while running is a no-op.
-func (g *GeneralManager) Start() { g.life.Start(g.Run) }
-
-// Stop terminates the supervision and waits for it to exit. It is
-// idempotent.
-func (g *GeneralManager) Stop() { _ = g.life.Stop() }

@@ -87,7 +87,10 @@ func (c *ruleCoordinator) Execute(op string) (string, error) {
 	switch op {
 	case rules.OpIncRate:
 		c.mu.Lock()
-		base := math.Max(math.Max(v.Snapshot.ArrivalRate, c.requested), c.floor)
+		// The producer's own rate is part of the base: at the first
+		// notEnough the farm's rate meter can still read ~0 and nothing has
+		// been requested yet, and incRate must never slow the producer.
+		base := math.Max(math.Max(v.Snapshot.ArrivalRate, c.requested), math.Max(c.floor, c.producerRate()))
 		c.requested = base * c.step
 		if c.cap > 0 && c.requested > c.cap {
 			c.requested = c.cap
@@ -117,6 +120,23 @@ func (c *ruleCoordinator) Execute(op string) (string, error) {
 	default:
 		return "", fmt.Errorf("%w: %s", abc.ErrUnsupported, op)
 	}
+}
+
+// producerRate is the producer's nominal emission rate, one second over
+// its source's current interval; 0 when the producer is not a source.
+func (c *ruleCoordinator) producerRate() float64 {
+	if c.producer == nil {
+		return 0
+	}
+	sa, ok := c.producer.Controller().(*abc.SourceABC)
+	if !ok {
+		return 0
+	}
+	iv := sa.Source().Interval()
+	if iv <= 0 {
+		return 0
+	}
+	return float64(time.Second) / float64(iv)
 }
 
 // NewRuleDrivenPipelineManager builds the application manager AM_A over a

@@ -62,6 +62,34 @@ func TestRuleDrivenPipelineIncRate(t *testing.T) {
 	}
 }
 
+// TestRuleDrivenPipelineFirstIncRateNeverSlowsProducer checks the first
+// reaction of a fresh AM_A: the farm's rate meter still reads 0 and
+// nothing has been requested, so the base must be the producer's own
+// emission rate (every 5s = 0.2 tasks/s), raised by the default step 1.3.
+func TestRuleDrivenPipelineFirstIncRateNeverSlowsProducer(t *testing.T) {
+	log := trace.NewLog()
+	clock := simclock.NewReal()
+	src := skel.NewSource("prod", skel.Env{TimeScale: 1000}, 100, 5*time.Second, nil)
+	amP, err := NewSourceManager("AM_P", abc.NewSourceABC(src), log, clock, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	amA, err := NewRuleDrivenPipelineManager("AM_A", &stub{}, amP, 0, 0, log, clock, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	amA.AttachChild(amP)
+	amA.deliver(Violation{From: "AM_F", Tag: rules.TagNotEnoughTasks})
+	if err := amA.RunOnce(); err != nil {
+		t.Fatal(err)
+	}
+	tr, ok := amP.Contract().(contract.ThroughputRange)
+	if !ok || tr.Lo < 0.26-1e-9 {
+		t.Fatalf("first incRate asked the producer for %v, want >= 0.26 (0.2 × 1.3):\n%s",
+			amP.Contract(), log.Timeline())
+	}
+}
+
 func TestRuleDrivenPipelineDecRate(t *testing.T) {
 	amA, amP, _, log := newRuleDrivenAMA(t)
 	amA.deliver(Violation{Tag: rules.TagTooMuchTasks,

@@ -24,12 +24,11 @@ func benchmarkCrashDetection(b *testing.B, pollOnly bool) {
 		stopFarm()
 		<-count
 	}()
-	ft, err := NewFaultManager(FaultConfig{
-		Log: trace.NewLog(), Period: period, PollOnly: pollOnly,
-	})
+	ft, err := NewFaultManager(FaultConfig{Log: trace.NewLog(), Period: period})
 	if err != nil {
 		b.Fatal(err)
 	}
+	ft.edges = !pollOnly // the tick-only baseline ignores crash edges
 	ft.Watch(fa)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

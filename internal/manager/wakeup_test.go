@@ -77,17 +77,16 @@ func TestEventWakeupReactsWithinPollPeriod(t *testing.T) {
 }
 
 // TestPollOnlyWaitsForPollPeriod is the baseline half of the claim: with
-// PollOnly the crash edge is ignored, so detection needs the next tick —
-// at least one full poll period away.
+// the loop's edge source cleared the crash edge is ignored, so detection
+// needs the next tick — at least one full poll period away.
 func TestPollOnlyWaitsForPollPeriod(t *testing.T) {
 	f, fa, in, count, stopFarm := newRunningFarmForFT(t)
 	clock := simclock.NewManual(time.Unix(0, 0))
-	ft, err := NewFaultManager(FaultConfig{
-		Log: trace.NewLog(), Clock: clock, Period: time.Second, PollOnly: true,
-	})
+	ft, err := NewFaultManager(FaultConfig{Log: trace.NewLog(), Clock: clock, Period: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ft.edges = false
 	ft.Watch(fa)
 	stopLoop := startFaultLoop(t, ft)
 
