@@ -49,8 +49,8 @@ type Result struct {
 	Cores      *metrics.Series // allocated core slots (Fig. 4 bottom graph)
 	Workers    *metrics.Series // farm parallelism degree
 	Completed  int
-	Elapsed    time.Duration // wall-clock duration of the run
-	Final      contract.Snapshot
+	Elapsed    time.Duration     // wall-clock duration of the run
+	Final      contract.Snapshot // main farm's (else root's) snapshot as the sink finishes
 }
 
 // App is a runnable behavioural-skeleton application: a stream source, a
@@ -232,6 +232,13 @@ func (a *App) RunContext(ctx context.Context) (*Result, error) {
 	// stages drain what was accepted).
 	<-a.Sink.Done()
 	<-pipeDone
+	// The final snapshot is the stream's, taken before the grace window:
+	// a grace longer than the rate window would read every rate as 0.
+	if a.FarmABC != nil {
+		res.Final = a.FarmABC.Snapshot()
+	} else if a.RootManager != nil {
+		res.Final = a.RootManager.Controller().Snapshot()
+	}
 	if a.Grace > 0 && ctx.Err() == nil {
 		// Keep managers running briefly so end-of-stream events
 		// (rebalance, endStream) surface; skipped when canceled.
@@ -247,10 +254,5 @@ func (a *App) RunContext(ctx context.Context) (*Result, error) {
 	}
 
 	res.Completed = a.Sink.Consumed()
-	if a.FarmABC != nil {
-		res.Final = a.FarmABC.Snapshot()
-	} else if a.RootManager != nil {
-		res.Final = a.RootManager.Controller().Snapshot()
-	}
 	return res, nil
 }

@@ -516,3 +516,32 @@ func TestRunContextPreCanceled(t *testing.T) {
 		t.Fatalf("pre-canceled run completed %d tasks", res.Completed)
 	}
 }
+
+// TestPipeExprFinalThroughput: a pipe application's final snapshot is
+// taken when the sink finishes, not after the grace window. The pipe's
+// grace (3 × a 5 s period) outlasts the 10 s rate window, so a snapshot
+// taken after it read a throughput of 0 for every pipe expression.
+func TestPipeExprFinalThroughput(t *testing.T) {
+	env := fastEnv(1000)
+	app, err := BuildFromExpr("pipe(seq, farm(seq), seq)",
+		FarmAppConfig{Env: env, Platform: grid.NewSMP(8), Tasks: 1, TaskWork: time.Millisecond},
+		StreamAppConfig{Env: env, Platform: grid.NewSMP(8), Tasks: 12,
+			SourceInterval: 500 * time.Millisecond, Period: 5 * time.Second,
+			Stages: []StageSpec{
+				{Kind: StageFarm, Work: time.Second, Workers: 2},
+				{Kind: StageSeq, Work: time.Millisecond},
+			}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := app.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 12 {
+		t.Fatalf("completed %d/12", res.Completed)
+	}
+	if res.Final.Throughput <= 0 {
+		t.Fatalf("final throughput %.3f tasks/s, want > 0", res.Final.Throughput)
+	}
+}

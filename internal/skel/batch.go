@@ -264,6 +264,13 @@ func (d *dispatcher) run(in <-chan *Task) {
 				}
 				arrivals++
 				d.dispatchOne(t)
+				if arrivals == queueBound {
+					// Under backpressure a saturated input never runs
+					// dry and the burst never ends; the arrival sensor
+					// must not wait for it.
+					f.arrival.MarkN(arrivals)
+					arrivals = 0
+				}
 			default:
 				break drain
 			}

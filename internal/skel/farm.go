@@ -420,7 +420,11 @@ func (f *Farm) OnEvent(fn func()) (cancel func()) { return f.hooks.subscribe(fn)
 // input stream and blocks until every result has been delivered. The farm
 // drains on cancel: it dispatches until its input closes, then lets the
 // workers finish their queues. Workers send on out directly, so a slow
-// consumer holds them back with no buffer in between.
+// consumer holds them back with no buffer in between, and each worker
+// queue holds about queueBound tasks: once a target's queue is full the
+// dispatcher waits for room and stops receiving from in, so a slow
+// consumer or a slow worker holds the producer back too. Run therefore
+// needs out drained while in is still being fed.
 func (f *Farm) Run(_ context.Context, in <-chan *Task, out chan<- *Task) {
 	f.mu.Lock()
 	f.out = out
