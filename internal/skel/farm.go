@@ -346,23 +346,6 @@ type Farm struct {
 	workerFault atomic.Pointer[func(workerID string, t *Task) WorkerFault]
 }
 
-// WorkerFault describes a fault injected into one worker compute step.
-type WorkerFault struct {
-	// Stall delays the task by the given modelled duration first.
-	Stall time.Duration
-	// Panic makes the worker function panic (contained by runWorker).
-	Panic bool
-}
-
-// SetWorkerFault installs (or, with nil, removes) the per-task fault hook.
-func (f *Farm) SetWorkerFault(fn func(workerID string, t *Task) WorkerFault) {
-	if fn == nil {
-		f.workerFault.Store(nil)
-		return
-	}
-	f.workerFault.Store(&fn)
-}
-
 // NewFarm validates cfg and builds the farm (workers are recruited when
 // Run starts).
 func NewFarm(cfg FarmConfig) (*Farm, error) {
@@ -445,64 +428,6 @@ func (f *Farm) Run(_ context.Context, in <-chan *Task, out chan<- *Task) {
 		}
 		close(out)
 	}
-}
-
-// emit is the C component of Fig. 2, run by the worker that computed env:
-// it meters the departures, finishes the span, and forwards every result
-// to the output stream, or under Reduce folds it into the accumulator
-// that Run emits at end of stream. It recycles env.
-func (f *Farm) emit(env *envelope) {
-	f.departure.MarkN(len(env.out))
-	f.collectSpan(env)
-	if f.cfg.Collect == Reduce {
-		f.accMu.Lock()
-		for _, t := range env.out {
-			if f.acc == nil {
-				f.acc = t
-			} else {
-				f.acc.Payload = f.cfg.Reduce(f.acc.Payload, t.Payload)
-			}
-		}
-		f.accMu.Unlock()
-	} else if f.out != nil {
-		for _, t := range env.out {
-			f.out <- t
-		}
-	}
-	putEnv(env)
-}
-
-// faultSpan publishes a partial span annotated with the fault that cut its
-// task's normal path short (a park, a refused push, a remote link error, a
-// contained panic). The retried task proceeds untraced — retry latency is
-// the fault manager's story, and the published span records exactly the
-// stages the task completed before the fault. Nil-safe.
-func (f *Farm) faultSpan(sp *telemetry.Span, kind string) {
-	if sp == nil {
-		return
-	}
-	sp.Fault = kind
-	f.cfg.Tracer.Publish(sp)
-}
-
-// collectSpan finishes an emitted envelope's span: the result stage ends
-// at the worker's emit, one member span fans out per co-sampled member task
-// other than the root, and the envelope span publishes into the ring and
-// the stage histograms.
-func (f *Farm) collectSpan(env *envelope) {
-	sp := env.span
-	if sp == nil {
-		return
-	}
-	env.span = nil
-	sp.Mark(telemetry.StageResult)
-	tr := f.cfg.Tracer
-	for _, t := range env.tasks {
-		if t.ID != sp.TaskID && tr.Sampler().Decide(t.ID) {
-			tr.PublishMember(sp, t.ID)
-		}
-	}
-	tr.Publish(sp)
 }
 
 // sendRouted routes one already-accepted task through the unified decision
@@ -630,724 +555,6 @@ func (f *Farm) inPoolLocked(w *worker) bool {
 		}
 	}
 	return false
-}
-
-// runWorker is one worker goroutine: pop, decode, compute, emit.
-func (f *Farm) runWorker(w *worker) {
-	for {
-		env, ok := w.queue.pop()
-		if !ok {
-			// The queue looked closed and empty, but a concurrent
-			// rebalance may have restored tasks into it; the check under
-			// f.mu is authoritative because restores hold f.mu. A failed
-			// worker always terminates, leaving its queue stranded.
-			f.mu.Lock()
-			if !w.failed && w.queue.len() > 0 {
-				f.mu.Unlock()
-				continue
-			}
-			if !w.failed && f.strandedLocked() && f.inPoolLocked(w) {
-				// A crashed worker still strands accepted tasks, and
-				// RecoverWorker needs a live worker to move them onto: stay
-				// as that target until its close lets this worker go.
-				w.queue.reopen()
-				f.mu.Unlock()
-				continue
-			}
-			w.exited = true
-			w.node.Release()
-			f.active--
-			f.refreshRoutesLocked()
-			f.maybeCloseResultsLocked()
-			f.mu.Unlock()
-			// Sole worker-termination path: every exit — drain, removal,
-			// crash, migration retirement — releases the transport session
-			// here, so a session can never outlive its worker.
-			w.closeExec()
-			return
-		}
-		if sp := env.span; sp != nil {
-			sp.Mark(telemetry.StageQueueWait)
-		}
-		var crashed bool
-		if w.exec != nil {
-			crashed = f.computeRemote(w, env)
-		} else {
-			crashed = f.computeLocal(w, env)
-		}
-		if crashed {
-			f.containPanic(w, env)
-			continue // the failed queue makes the next pop report done
-		}
-		if n := len(env.out); n > 0 {
-			w.served.Add(uint64(n))
-			f.emit(env)
-		} else {
-			putEnv(env)
-		}
-	}
-}
-
-// computeLocal decodes and computes one envelope — every member task, in
-// wire order. A panic in the worker function — or one injected by
-// the fault hook — is contained here: it is reported as crashed instead of
-// unwinding the process, and any partial results are discarded (env.out is
-// cleared), so a recomputation after recovery re-derives every member's
-// payload from the sealed wire bytes and emits each exactly once. The emit
-// happens in the caller, outside the recover scope.
-func (f *Farm) computeLocal(w *worker, env *envelope) (crashed bool) {
-	env.out = env.out[:0]
-	defer func() {
-		if r := recover(); r != nil {
-			crashed = true
-			for i := range env.out {
-				env.out[i] = nil
-			}
-			env.out = env.out[:0]
-			f.reportErr(fmt.Errorf("skel: farm %s worker %s panicked on task %d: %v",
-				f.cfg.Name, w.id, env.tasks[0].ID, r))
-		}
-	}()
-	// The decode pays the binding codec's honest CPU cost and authenticates
-	// the envelope — the security model charges both directions of a seal.
-	// On the loopback plane the plaintext never left the process: env.tasks
-	// still hold the exact payload bytes the dispatcher sealed (the decode
-	// reproduces them bit for bit), so the decoded copy lands in a
-	// worker-owned reusable buffer instead of escaping as a fresh
-	// allocation per envelope. That buffer is what keeps steady-state
-	// loopback dispatch at zero allocations per task. A Plain envelope
-	// skips the decode: it would be a copy that cannot fail, authenticates
-	// nothing and is thrown away.
-	if _, isPlain := env.codec.(security.Plain); !isPlain {
-		plain, err := security.AppendDecode(env.codec, w.plainBuf[:0], env.wire)
-		if err != nil {
-			f.faultSpan(env.span, "decode")
-			env.span = nil
-			f.reportErr(fmt.Errorf("skel: farm %s worker %s decode: %w", f.cfg.Name, w.id, err))
-			return false
-		}
-		w.plainBuf = ReuseBuffer(plain)
-	}
-	if sp := env.span; sp != nil {
-		// Loopback: reseal is the envelope decode, exec the member loop, and
-		// the wire stage stays zero — no machine boundary was crossed.
-		sp.Mark(telemetry.StageReseal)
-	}
-	for _, t := range env.tasks {
-		work := t.Work
-		if f.cfg.WorkOverride > 0 {
-			work = f.cfg.WorkOverride
-		}
-		if f.memberFault(w, t) {
-			panic(fmt.Sprintf("injected worker fault (task %d)", t.ID))
-		}
-		f.cfg.Env.Clock.Sleep(w.node.ServiceTime(work))
-		if nw := f.cfg.Network; nw != nil && f.cfg.HomeDomain != "" {
-			if lat := nw.LinkBetween(f.cfg.HomeDomain, w.node.Domain.Name).Latency; lat > 0 {
-				f.cfg.Env.Clock.Sleep(lat)
-			}
-		}
-		if res := applyFn(f.cfg.Fn, t); res != nil {
-			env.out = append(env.out, res)
-		}
-	}
-	if sp := env.span; sp != nil {
-		sp.Mark(telemetry.StageExec)
-	}
-	return false
-}
-
-// memberFault consults the chaos plane's per-task fault hook before one
-// member's compute step: it sleeps an injected stall and reports whether
-// a panic was injected. Each compute body lands the panic its own way.
-func (f *Farm) memberFault(w *worker, t *Task) (panics bool) {
-	fp := f.workerFault.Load()
-	if fp == nil {
-		return false
-	}
-	fault := (*fp)(w.id, t)
-	if fault.Stall > 0 {
-		f.cfg.Env.Clock.Sleep(fault.Stall)
-	}
-	return fault.Panic
-}
-
-// computeRemote ships one envelope across the worker's transport session
-// as one exec-batch round trip and blocks for the sealed result blob. The
-// bytes handed to the session are exactly the bytes the binding codec
-// produced at seal time — the transport never sees the plaintext — and the
-// span's trace context rides inside them, so the workerd-side exec span
-// shares this trace id. Any transport error (connection dropped, remote
-// rejected the frame, result failed to authenticate) is mapped onto the
-// worker-crash contract: the envelope strands on the worker's failed queue
-// for the fault-tolerance manager to recover, because a broken link and a
-// dead machine are the same fault. Unlike the loopback path there is no
-// modelled link-latency charge: a remote worker pays the real latency of
-// its framed connection.
-//
-// Member payloads are only overwritten once the whole result blob has
-// authenticated and validated, so a crash mid-envelope leaves every
-// member's plaintext pristine for recovery — exactly-once holds per member.
-func (f *Farm) computeRemote(w *worker, env *envelope) (crashed bool) {
-	env.out = env.out[:0]
-	for _, t := range env.tasks {
-		if f.memberFault(w, t) {
-			// A remote worker cannot contain a panic in-process; the
-			// injected fault lands as the crash it models.
-			f.reportErr(fmt.Errorf("skel: farm %s worker %s injected fault on task %d",
-				f.cfg.Name, w.id, t.ID))
-			return true
-		}
-	}
-	// A fault publishes the partial span and detaches it: the recovered
-	// envelope retries untraced.
-	sp := env.span
-	fail := func(kind string, err error) bool {
-		env.span = nil
-		f.faultSpan(sp, kind)
-		f.reportErr(fmt.Errorf("skel: farm %s worker %s remote exec of task %d (%d in envelope): %w",
-			f.cfg.Name, w.id, env.tasks[0].ID, len(env.tasks), err))
-		return true
-	}
-	sealedRes, execNanos, err := w.exec.ExecBatch(env.codec, env.wire)
-	if err != nil {
-		return fail("link", err)
-	}
-	if sp != nil {
-		// Interval arithmetic across the clock boundary: the local round
-		// trip splits into the remote-reported exec share and the wire
-		// remainder — timestamps never cross machines.
-		sp.MarkSplit(telemetry.StageWire, telemetry.StageExec, execNanos)
-	}
-	// A result that does not authenticate or validate is a link fault, not
-	// a task fault: crash the worker so the envelope is recovered, never
-	// emitted corrupt.
-	blob, err := env.codec.Decode(sealedRes)
-	if err != nil {
-		return fail("auth", err)
-	}
-	if err := unpackResultInto(blob, env.tasks); err != nil {
-		return fail("auth", err)
-	}
-	if sp != nil {
-		sp.Mark(telemetry.StageReseal)
-	}
-	env.out = append(env.out, env.tasks...)
-	return false
-}
-
-// containPanic turns a panicked worker into a crashed one, exactly as
-// KillWorker would: the in-flight envelope is restored into the worker's
-// own queue, the queue is failed so its tasks strand for the fault manager
-// to recover, and the crash edge fires. The process never dies.
-//
-// A worker that has already been recovered — killed by the stall detector
-// and drained by RecoverWorker while its task was still in flight, which a
-// remote exec blocked in a link fault makes routine — is no longer in the
-// pool, so restoring into its queue would strand the envelope invisibly.
-// That late envelope is instead re-routed through the unified dispatch
-// decision path, exactly like a parked task.
-func (f *Farm) containPanic(w *worker, env *envelope) {
-	// The crash annotates and publishes the partial span; the restored
-	// envelope retries untraced (retry latency is the fault manager's story).
-	f.faultSpan(env.span, "crash")
-	env.span = nil
-	f.mu.Lock()
-	if !w.failed && !w.exited {
-		w.failed = true
-		w.queue.fail()
-		f.refreshRoutesLocked()
-	}
-	if f.inPoolLocked(w) {
-		// RecoverWorker drains under f.mu, so a restore landing here is
-		// guaranteed a future drain. The envelope is restored intact;
-		// RecoverWorker splits a batch back into tasks before redistribution.
-		w.queue.restore(env)
-		f.mu.Unlock()
-		f.hooks.fire()
-		return
-	}
-	// Late envelope: every member re-enters the unified decision path, one
-	// task at a time (the envelope's sealed form belonged to the dead
-	// binding).
-	for _, t := range env.tasks {
-		f.routeLocked(t)
-	}
-	f.mu.Unlock()
-	f.hooks.fire()
-	putEnv(env)
-}
-
-// newWorkerLocked builds a worker on the given node with the given binding
-// codec. Callers hold f.mu (nextID is guarded by it).
-func (f *Farm) newWorkerLocked(node *grid.Node, codec security.Codec) *worker {
-	w := &worker{
-		id:    fmt.Sprintf("%s.w%d", f.cfg.Name, f.nextID),
-		node:  node,
-		queue: newQueue(),
-	}
-	w.setCodec(codec)
-	f.nextID++
-	return w
-}
-
-// executorFor dials a transport session for the node through the
-// configured factory. A nil factory — the loopback default — pins every
-// worker in-process at zero cost. Callers must not hold f.mu: dialing is
-// real network I/O.
-func (f *Farm) executorFor(node *grid.Node) (Executor, error) {
-	if f.cfg.Executors == nil {
-		return nil, nil
-	}
-	return f.cfg.Executors(node)
-}
-
-// bindCodec installs c as w's binding codec. For a remote worker the new
-// key must reach the workerd process before any task sealed with it can
-// (the two-phase rekey crossing the wire inside a control frame sealed
-// under the link's master codec), so the codec is pushed through the
-// session first and the wrapper it returns — carrying the transport's key
-// epoch — becomes the binding codec. Callers must not hold f.mu: the
-// rekey is a real network write.
-func (f *Farm) bindCodec(w *worker, c security.Codec) error {
-	if w.exec != nil {
-		wrapped, err := w.exec.Rekey(c)
-		if err != nil {
-			return err
-		}
-		c = wrapped
-	}
-	w.setCodec(c)
-	return nil
-}
-
-// AddWorker recruits a node and adds a worker to the pool. It returns the
-// new worker's ID. It is the ADD_EXECUTOR actuator.
-func (f *Farm) AddWorker() (string, error) {
-	return f.AddWorkerWithPrepare(nil)
-}
-
-// PrepareFunc runs between recruitment and the instant a new worker becomes
-// dispatchable: it is the hook the two-phase multi-concern protocol of §3.2
-// uses to let the security manager secure the binding *before* any task can
-// reach the worker. setCodec installs the binding codec; returning an error
-// aborts the addition and releases the recruited node.
-type PrepareFunc func(id string, node *grid.Node, setCodec func(security.Codec)) error
-
-// AddWorkerWithPrepare is AddWorker with a preparation phase.
-func (f *Farm) AddWorkerWithPrepare(prepare PrepareFunc) (string, error) {
-	return f.addWorker(prepare, false)
-}
-
-// AddRecoveryWorker recruits a worker even after the input stream has
-// ended, for the sole purpose of processing tasks stranded by a crash. Its
-// queue stays open until a subsequent RecoverWorker restores the stranded
-// tasks into it and (post-stream) closes it, so the worker drains the
-// recovered tasks and exits. It is the fault-tolerance manager's fallback
-// when a crash leaves no live worker behind.
-//
-// Once the run has completed — the result stream is closed, meaning no
-// stranded task can remain — it returns ErrStreamEnded: a worker recruited
-// then would block forever on an open empty queue (goroutine + node leak)
-// and any result it computed would be sent on the closed output stream.
-func (f *Farm) AddRecoveryWorker() (string, error) {
-	return f.AddRecoveryWorkerWithPrepare(nil)
-}
-
-// AddRecoveryWorkerWithPrepare is AddRecoveryWorker with the same
-// preparation phase as AddWorkerWithPrepare, so recovery recruitment obeys
-// the two-phase security protocol too: a replacement landing on an
-// untrusted node gets its binding secured before any stranded task can
-// reach it.
-func (f *Farm) AddRecoveryWorkerWithPrepare(prepare PrepareFunc) (string, error) {
-	return f.addWorker(prepare, true)
-}
-
-// addWorker is the body of both add paths: recruit, attach the transport
-// session, run the prepare phase, then make the worker dispatchable and
-// hand it any parked tasks in one critical section. A regular addition is
-// refused once the input has ended, a recovery one only once the result
-// stream has closed.
-func (f *Farm) addWorker(prepare PrepareFunc, recovery bool) (string, error) {
-	ended := func() bool {
-		if recovery {
-			return f.resultsClosed
-		}
-		return f.inputDone
-	}
-	f.mu.Lock()
-	if ended() {
-		f.mu.Unlock()
-		return "", ErrStreamEnded
-	}
-	node, err := f.cfg.RM.Recruit(f.cfg.Recruit)
-	if err != nil {
-		f.recruitFailed = true
-		f.mu.Unlock()
-		return "", err
-	}
-	w := f.newWorkerLocked(node, security.Plain{})
-	f.mu.Unlock()
-
-	exec, err := f.executorFor(node)
-	if err != nil {
-		node.Release()
-		return "", fmt.Errorf("skel: dial executor for %s: %w", w.id, err)
-	}
-	w.exec = exec
-
-	if prepare != nil {
-		// The worker is not yet visible to the dispatcher or RecoverWorker,
-		// so the prepare phase (e.g. an SSL handshake) cannot race with task
-		// sends. For a remote worker the codec install crosses the wire
-		// (bindCodec); a failed rekey aborts the addition so a worker whose
-		// binding the security manager could not secure never becomes
-		// dispatchable — the two-phase guarantee holds across processes.
-		var bindErr error
-		setCodec := func(c security.Codec) {
-			if err := f.bindCodec(w, c); err != nil && bindErr == nil {
-				bindErr = err
-			}
-		}
-		if err := prepare(w.id, node, setCodec); err != nil {
-			node.Release()
-			w.closeExec()
-			return "", fmt.Errorf("skel: prepare for %s: %w", w.id, err)
-		}
-		if bindErr != nil {
-			node.Release()
-			w.closeExec()
-			return "", fmt.Errorf("skel: prepare rekey for %s: %w", w.id, bindErr)
-		}
-	}
-
-	f.mu.Lock()
-	if ended() {
-		f.mu.Unlock()
-		node.Release()
-		w.closeExec()
-		return "", ErrStreamEnded
-	}
-	f.workers = append(f.workers, w)
-	f.active++
-	f.everHadWorker = true
-	f.refreshRoutesLocked()
-	f.flushPendingLocked()
-	f.mu.Unlock()
-	go f.runWorker(w)
-	return w.id, nil
-}
-
-// RemoveWorker removes the most recently added worker, redistributing its
-// queued tasks. It is the REMOVE_EXECUTOR actuator.
-func (f *Farm) RemoveWorker() (string, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.workers) <= 1 {
-		return "", ErrLastWorker
-	}
-	w := f.workers[len(f.workers)-1]
-	if w.failed {
-		return "", fmt.Errorf("skel: worker %s crashed; use RecoverWorker", w.id)
-	}
-	live := 0
-	for _, other := range f.workers[:len(f.workers)-1] {
-		if !other.exited && !other.failed {
-			live++
-		}
-	}
-	if live == 0 {
-		return "", ErrLastWorker
-	}
-	f.workers = f.workers[:len(f.workers)-1]
-	f.refreshRoutesLocked()
-	orphans := f.splitEnvelopesLocked(w.queue.drain())
-	w.queue.close()
-	targets := f.restoreTargetsLocked(nil)
-	for i, other := range targets {
-		var share []*envelope
-		for j := i; j < len(orphans); j += len(targets) {
-			share = append(share, orphans[j])
-		}
-		other.queue.restore(share...)
-	}
-	return w.id, nil
-}
-
-// splitEnvelopesLocked flattens batch envelopes into one-task ones before
-// redistribution: a batch's sealed blob was addressed to one binding, but
-// redistribution scatters its members over many. Each member is re-sealed
-// with the codec the batch was sealed with (payloads are still plaintext
-// on the tasks), so every redistributed envelope carries one task and the
-// codec it was sealed under. One-task envelopes pass through untouched.
-// Callers hold f.mu.
-func (f *Farm) splitEnvelopesLocked(envs []*envelope) []*envelope {
-	split := false
-	for _, env := range envs {
-		if len(env.tasks) > 1 {
-			split = true
-			break
-		}
-	}
-	if !split {
-		return envs
-	}
-	out := make([]*envelope, 0, len(envs))
-	for _, env := range envs {
-		if len(env.tasks) <= 1 {
-			out = append(out, env)
-			continue
-		}
-		for i := range env.tasks {
-			if one := f.sealEnvelope(nil, env.codec, env.tasks[i:i+1], nil, &f.sealBuf); one != nil {
-				out = append(out, one)
-			}
-		}
-		// A split batch's span cannot follow its members (they scatter over
-		// many bindings); it publishes as a partial span annotated with the
-		// redistribution that cut it short.
-		f.faultSpan(env.span, "split")
-		env.span = nil
-		putEnv(env)
-	}
-	return out
-}
-
-// Rebalance redistributes every queued task evenly over the live workers.
-// It is the BALANCE_LOAD actuator and, unlike new input, it also works
-// after the stream has ended (the Fig. 4 rebalance at endStream).
-func (f *Farm) Rebalance() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var live []*worker
-	for _, w := range f.workers {
-		if !w.exited && !w.failed {
-			live = append(live, w)
-		}
-	}
-	targets := f.restoreTargetsLocked(nil)
-	if len(targets) == 0 {
-		return
-	}
-	var all []*envelope
-	for _, w := range live {
-		all = append(all, w.queue.drain()...)
-	}
-	all = f.splitEnvelopesLocked(all)
-	for i, w := range targets {
-		var share []*envelope
-		for j := i; j < len(all); j += len(targets) {
-			share = append(share, all[j])
-		}
-		w.queue.restore(share...)
-	}
-}
-
-// KillWorker injects a crash fault into the named worker: it stops
-// processing after its current task, its node is released, and its queued
-// tasks remain stranded until RecoverWorker redistributes them. While
-// stranded tasks exist the farm's output stream stays open, so a run with
-// an unrecovered fault does not terminate — detecting and repairing this
-// is the fault-tolerance manager's job.
-func (f *Farm) KillWorker(workerID string) error {
-	f.mu.Lock()
-	for _, w := range f.workers {
-		if w.id != workerID {
-			continue
-		}
-		if w.failed || w.exited {
-			f.mu.Unlock()
-			return fmt.Errorf("skel: worker %s is already down", workerID)
-		}
-		w.failed = true
-		w.queue.fail()
-		f.refreshRoutesLocked()
-		f.mu.Unlock()
-		f.hooks.fire() // crash edge: wake the fault manager immediately
-		return nil
-	}
-	f.mu.Unlock()
-	return fmt.Errorf("%w: %s", ErrNoWorker, workerID)
-}
-
-// RecoverWorker repairs a crashed worker: its stranded tasks are
-// redistributed over the live workers and the dead worker is removed from
-// the pool. It is the fault-tolerance RECOVER actuator; replacing the lost
-// capacity is a separate AddWorker decision.
-func (f *Farm) RecoverWorker(workerID string) (recovered int, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	idx := -1
-	var dead *worker
-	for i, w := range f.workers {
-		if w.id == workerID {
-			idx, dead = i, w
-			break
-		}
-	}
-	if dead == nil {
-		return 0, fmt.Errorf("%w: %s", ErrNoWorker, workerID)
-	}
-	if !dead.failed {
-		return 0, fmt.Errorf("skel: worker %s has not failed", workerID)
-	}
-	live := f.restoreTargetsLocked(dead)
-	orphans := f.splitEnvelopesLocked(dead.queue.drain())
-	if len(orphans) > 0 && len(live) == 0 {
-		// Nothing to recover onto: put the tasks back and refuse, so the
-		// caller can AddWorker first.
-		dead.queue.restore(orphans...)
-		return 0, errors.New("skel: no live worker to recover onto")
-	}
-	for i, w := range live {
-		var share []*envelope
-		for j := i; j < len(orphans); j += len(live) {
-			share = append(share, orphans[j])
-		}
-		w.queue.restore(share...)
-	}
-	f.workers = append(f.workers[:idx], f.workers[idx+1:]...)
-	if f.inputDone {
-		// Post-stream recovery targets (AddRecoveryWorker's, or a worker
-		// that stayed on for a recovery) may have open queues; close every
-		// live one so it drains the recovered tasks and exits — or stays on
-		// again while another crashed worker still strands tasks.
-		for _, w := range f.workers {
-			if !w.failed && !w.exited {
-				w.queue.close()
-			}
-		}
-	}
-	f.refreshRoutesLocked()
-	f.maybeCloseResultsLocked()
-	return len(orphans), nil
-}
-
-// MigrateWorker moves a worker to a freshly recruited node satisfying req
-// (e.g. a faster or less loaded one): a replacement worker is created on
-// the new node with the same binding codec, the queued tasks move over,
-// and the old worker retires gracefully after its current task. It is the
-// MIGRATE actuator behind the paper's "migration of poorly performing
-// activities to faster execution resources" policy. It returns the new
-// worker's ID.
-func (f *Farm) MigrateWorker(workerID string, req grid.Request) (string, error) {
-	f.mu.Lock()
-	var old *worker
-	for _, w := range f.workers {
-		if w.id == workerID {
-			old = w
-			break
-		}
-	}
-	if old == nil {
-		f.mu.Unlock()
-		return "", fmt.Errorf("%w: %s", ErrNoWorker, workerID)
-	}
-	if old.failed || old.exited {
-		f.mu.Unlock()
-		return "", fmt.Errorf("skel: worker %s is down; use RecoverWorker", workerID)
-	}
-	// The migration carries the binding codec observed here; a SetCodec
-	// racing with the migration may land on the retiring worker and be
-	// superseded, which is the same §3.2 reactive hazard SetCodec already
-	// documents for in-flight envelopes.
-	codec := old.getCodec()
-	node, err := f.cfg.RM.Recruit(req)
-	if err != nil {
-		f.mu.Unlock()
-		return "", err
-	}
-	f.mu.Unlock()
-
-	// Dialing the replacement's session and re-keying it are real network
-	// I/O, so both run off-lock; the pool is re-validated before the swap.
-	exec, err := f.executorFor(node)
-	if err != nil {
-		node.Release()
-		return "", fmt.Errorf("skel: migrate %s: %w", workerID, err)
-	}
-	if exec != nil {
-		wrapped, err := exec.Rekey(codec)
-		if err != nil {
-			node.Release()
-			_ = exec.Close()
-			return "", fmt.Errorf("skel: migrate %s rekey: %w", workerID, err)
-		}
-		codec = wrapped
-	}
-
-	f.mu.Lock()
-	idx := -1
-	for i, w := range f.workers {
-		if w == old {
-			idx = i
-			break
-		}
-	}
-	if idx == -1 || old.failed || old.exited {
-		// The worker crashed or left while we were dialing: abandon the
-		// migration rather than resurrect it behind the fault manager's
-		// back.
-		f.mu.Unlock()
-		node.Release()
-		if exec != nil {
-			_ = exec.Close()
-		}
-		return "", fmt.Errorf("skel: worker %s went down during migration", workerID)
-	}
-	fresh := f.newWorkerLocked(node, codec)
-	fresh.exec = exec
-	// Batch envelopes split on migration too, so every moved envelope
-	// carries one task under the codec it was sealed with; the compute
-	// bodies handle that cross-binding case (loopback decodes with the
-	// carried codec, remote resolves a foreign codec by resealing).
-	items := f.splitEnvelopesLocked(old.queue.drain())
-	old.queue.close() // the old worker finishes its current task and exits
-	fresh.queue.restore(items...)
-	if f.inputDone {
-		fresh.queue.close()
-	}
-	f.workers[idx] = fresh
-	f.active++
-	f.refreshRoutesLocked()
-	f.mu.Unlock()
-	go f.runWorker(fresh)
-	return fresh.id, nil
-}
-
-// SetCodec rebinds a worker connection onto a (secure) codec. Subsequent
-// sends to that worker use the new codec; in-flight envelopes — including
-// a send that snapshotted its codec just before the rebind, since encoding
-// runs outside f.mu — keep the one they were encoded with. That window is
-// the §3.2 reactive hazard the two-phase protocol exists to avoid: securing
-// a binding *before* the worker becomes dispatchable (PrepareFunc) is
-// race-free, securing it reactively is not. It is the SECURE_BINDING
-// actuator.
-func (f *Farm) SetCodec(workerID string, c security.Codec) error {
-	if c == nil {
-		return errors.New("skel: nil codec")
-	}
-	f.mu.Lock()
-	var target *worker
-	for _, w := range f.workers {
-		if w.id == workerID {
-			target = w
-			break
-		}
-	}
-	f.mu.Unlock()
-	if target == nil {
-		return fmt.Errorf("%w: %s", ErrNoWorker, workerID)
-	}
-	// bindCodec runs off-lock: for a remote binding it writes the rekey
-	// frame to the wire, and the actuator must not stall sensors behind
-	// network I/O. If the worker vanishes concurrently the bind is
-	// harmless (nobody dispatches to it any more) or surfaces as a rekey
-	// error from the closing session.
-	if err := f.bindCodec(target, c); err != nil {
-		return fmt.Errorf("skel: rekey %s: %w", workerID, err)
-	}
-	return nil
 }
 
 // WorkerInfo describes one worker for monitoring and the security manager.
