@@ -80,8 +80,8 @@ func (a *FarmABC) SetPrepare(p skel.PrepareFunc) { a.prepare = p }
 
 // Prepare returns the installed preparation hook (nil when uncoordinated),
 // letting out-of-band recruitment paths — the fault-tolerance manager's
-// recovery and replacement — honor the same two-phase protocol as
-// ADD_EXECUTOR.
+// recovery and replacement, the migration manager's moves — honor the same
+// two-phase protocol as ADD_EXECUTOR.
 func (a *FarmABC) Prepare() skel.PrepareFunc { return a.prepare }
 
 // Farm returns the underlying skeleton.
@@ -147,7 +147,7 @@ func (a *FarmABC) Execute(op string) (string, error) {
 	switch op {
 	case rules.OpAddExecutor:
 		before := a.farm.Stats().Workers
-		id, err := a.farm.AddWorkerWithPrepare(a.prepare)
+		id, err := a.farm.AddWorker(a.prepare)
 		if err != nil {
 			return "", err
 		}

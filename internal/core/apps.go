@@ -70,21 +70,17 @@ type FarmAppConfig struct {
 	Selector  skel.Selector
 
 	// DispatchBatch caps how many tasks the farm seals into one envelope
-	// per worker (0 or 1 = one task per envelope); BatchFlush bounds the
-	// latency a partial batch may wait for more input. There is one
-	// dispatch path either way: every envelope is a batch of N ≥ 1 tasks.
+	// per worker (0 or 1 = one task per envelope). There is one dispatch
+	// path either way: every envelope is a batch of N ≥ 1 tasks.
 	DispatchBatch int
-	BatchFlush    time.Duration
 
 	// TraceSample > 0 attaches a task-span tracer sampling one task in
 	// TraceSample (1 = every task): sampled tasks get an eight-stage
 	// latency decomposition published to /spans, /metrics and /cluster.
 	// TraceSeed seeds the deterministic sampler, so a chaos replay with
-	// the same seed samples the same task ids; TraceRing bounds the
-	// retained spans (0 = 1024).
+	// the same seed samples the same task ids.
 	TraceSample uint64
 	TraceSeed   uint64
-	TraceRing   int
 
 	InitialWorkers int
 	// AutoDegree derives InitialWorkers from the task-farm performance
@@ -126,14 +122,8 @@ type FarmAppConfig struct {
 	WithFaultTolerance bool
 	FaultPeriod        time.Duration
 	// FaultSuspectAfter arms the progress-based stall detector (modelled;
-	// 0 leaves it off); FaultSuspectGrace shields freshly added workers
-	// (modelled; default 2×FaultSuspectAfter).
+	// 0 leaves it off).
 	FaultSuspectAfter time.Duration
-	FaultSuspectGrace time.Duration
-	// FaultQuarantineAfter and FaultQuarantineCooldown (modelled) tune the
-	// node circuit breaker (defaults: 3 crashes, 10 fault periods).
-	FaultQuarantineAfter    int
-	FaultQuarantineCooldown time.Duration
 
 	// ActuatorTimeout is the per-operation deadline of the hardened
 	// actuator path (modelled; default 30s). The guard also retries
@@ -149,10 +139,10 @@ type FarmAppConfig struct {
 	JitterSeed int64
 
 	// WithMigration attaches a migration manager that moves workers off
-	// nodes whose external load exceeds MigrationMaxLoad (default 0.5).
+	// nodes whose external load exceeds MigrationMaxLoad (default 0.5),
+	// checked every Period/2.
 	WithMigration    bool
 	MigrationMaxLoad float64
-	MigrationPeriod  time.Duration
 }
 
 func (cfg *FarmAppConfig) normalize() error {
@@ -194,9 +184,6 @@ func (cfg *FarmAppConfig) normalize() error {
 	}
 	if cfg.FaultPeriod <= 0 {
 		cfg.FaultPeriod = cfg.Period / 2
-	}
-	if cfg.MigrationPeriod <= 0 {
-		cfg.MigrationPeriod = cfg.Period / 2
 	}
 	if cfg.ActuatorTimeout <= 0 {
 		cfg.ActuatorTimeout = 30 * time.Second
@@ -261,7 +248,7 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 	}
 	var taskTracer *telemetry.TaskTracer
 	if cfg.TraceSample > 0 {
-		taskTracer = telemetry.NewTaskTracer(cfg.TraceSeed, cfg.TraceSample, cfg.TraceRing)
+		taskTracer = telemetry.NewTaskTracer(cfg.TraceSeed, cfg.TraceSample, 0)
 	}
 	farmCfg := skel.FarmConfig{
 		Name:           cfg.Name + ".farm",
@@ -275,7 +262,6 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 		Executors:      cfg.Executors,
 		Selector:       cfg.Selector,
 		DispatchBatch:  cfg.DispatchBatch,
-		BatchFlush:     cfg.BatchFlush,
 		Tracer:         taskTracer,
 	}
 	if cfg.ChargeLinkLatency && len(cfg.Platform.Domains) > 0 {
@@ -356,15 +342,12 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 	if cfg.WithFaultTolerance {
 		cfg.Platform.RM.SetClock(clock)
 		ft, err := manager.NewFaultManager(manager.FaultConfig{
-			Clock:              clock,
-			Log:                cfg.Log,
-			Period:             cfg.FaultPeriod,
-			RM:                 cfg.Platform.RM,
-			SuspectAfter:       cfg.FaultSuspectAfter,
-			SuspectGrace:       cfg.FaultSuspectGrace,
-			QuarantineAfter:    cfg.FaultQuarantineAfter,
-			QuarantineCooldown: cfg.FaultQuarantineCooldown,
-			Retry:              runtime.Backoff{Clock: clock, Rand: jit},
+			Clock:        clock,
+			Log:          cfg.Log,
+			Period:       cfg.FaultPeriod,
+			RM:           cfg.Platform.RM,
+			SuspectAfter: cfg.FaultSuspectAfter,
+			Retry:        runtime.Backoff{Clock: clock, Rand: jit},
 		})
 		if err != nil {
 			return nil, err
@@ -379,7 +362,7 @@ func NewFarmApp(cfg FarmAppConfig) (*App, error) {
 			Clock:   clock,
 			Log:     cfg.Log,
 			MaxLoad: cfg.MigrationMaxLoad,
-			Period:  cfg.MigrationPeriod,
+			Period:  cfg.Period / 2,
 		})
 		if err != nil {
 			return nil, err

@@ -545,3 +545,49 @@ func TestPipeExprFinalThroughput(t *testing.T) {
 		t.Fatalf("final throughput %.3f tasks/s, want > 0", res.Final.Throughput)
 	}
 }
+
+// TestMigrationSecuresUntrustedDestination checks the §3.2 invariant on the
+// MIGRATE actuator: a worker moved off an overloaded trusted node onto an
+// untrusted one goes through the two-phase prepare like any new worker, so
+// its binding is secured before its first task and nothing leaks.
+func TestMigrationSecuresUntrustedDestination(t *testing.T) {
+	platform := grid.NewTwoDomainGrid(1, 4)
+	for _, n := range platform.RM.Nodes() {
+		if n.Domain.Trusted {
+			n.SetExternalLoad(0.9) // the initial worker's node: migrate off it
+		}
+	}
+	app, err := NewFarmApp(FarmAppConfig{
+		Name:           "migsec",
+		Env:            fastEnv(400),
+		Platform:       platform,
+		Tasks:          80,
+		TaskWork:       time.Second,
+		SourceInterval: 200 * time.Millisecond,
+		InitialWorkers: 1,
+		Limits:         manager.FarmLimits{MaxWorkers: 1},
+		WithSecurity:   true,
+		Coordination:   manager.TwoPhase,
+		WithMigration:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := app.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 80 {
+		t.Fatalf("completed %d/80", res.Completed)
+	}
+	if app.Migration.Migrated() == 0 {
+		t.Fatalf("no worker migrated:\n%s", res.Log.Timeline())
+	}
+	if n := app.Auditor.Leaks(); n != 0 {
+		t.Fatalf("migration onto an untrusted node leaked %d of %d sends:\n%s",
+			n, app.Auditor.Total(), res.Log.Timeline())
+	}
+	if app.Auditor.Secured() == 0 {
+		t.Fatal("no secured send recorded after the migration")
+	}
+}

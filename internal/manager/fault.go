@@ -280,7 +280,7 @@ func (m *FaultManager) RunOnce() int {
 				// degraded mode rather than wedging the loop.
 				farm, prep := fa.Farm(), fa.Prepare()
 				if _, err := m.recruit("recovery", func() (string, error) {
-					return farm.AddRecoveryWorkerWithPrepare(prep)
+					return farm.AddRecoveryWorker(prep)
 				}); err == nil {
 					m.mu.Lock()
 					m.replaced++
@@ -297,7 +297,7 @@ func (m *FaultManager) RunOnce() int {
 			if m.replace {
 				farm, prep := fa.Farm(), fa.Prepare()
 				if id, err := m.recruit("replacement", func() (string, error) {
-					return farm.AddWorkerWithPrepare(prep)
+					return farm.AddWorker(prep)
 				}); err == nil {
 					m.mu.Lock()
 					m.replaced++

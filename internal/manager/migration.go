@@ -15,7 +15,9 @@ import (
 // loop watches the nodes hosting farm workers and, when a node's external
 // load exceeds a threshold, moves the worker (queue, binding codec and
 // all) to a freshly recruited node, instead of — or in addition to —
-// growing the farm. External load has no skeleton edge — load is sampled,
+// growing the farm. The replacement runs the farm's prepare hook like any
+// new worker, so under two-phase coordination a destination in an
+// untrusted domain is secured before its first task. External load has no skeleton edge — load is sampled,
 // not evented — so the loop is purely periodic.
 type MigrationManager struct {
 	loop
@@ -87,7 +89,7 @@ func (m *MigrationManager) RunOnce() int {
 			if w.Node.ExternalLoad() <= m.cfg.MaxLoad {
 				continue
 			}
-			newID, err := fa.Farm().MigrateWorker(w.ID, m.cfg.Recruit)
+			newID, err := fa.Farm().MigrateWorker(w.ID, m.cfg.Recruit, fa.Prepare())
 			if err != nil {
 				continue
 			}

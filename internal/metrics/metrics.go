@@ -1,7 +1,7 @@
 // Package metrics provides the measurement primitives behind the Autonomic
 // Behaviour Controller sensors: sliding-window rate meters (task arrival and
-// departure rates), exponentially weighted moving averages, service-time
-// statistics and queue-balance statistics.
+// departure rates), latency histograms, the queue-balance statistic and
+// the time series the experiments record.
 //
 // All types are safe for concurrent use unless stated otherwise, and take
 // their notion of time from a simclock.Clock so that unit tests can drive
@@ -9,11 +9,7 @@
 package metrics
 
 import (
-	"fmt"
-	"math"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/simclock"
@@ -141,87 +137,6 @@ func (r *RateMeter) advanceLocked(now time.Time) {
 	r.cur = idx
 }
 
-// EWMA is an exponentially weighted moving average with configurable
-// smoothing factor alpha in (0,1]. Higher alpha weights recent samples more.
-type EWMA struct {
-	mu    sync.Mutex
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given alpha. Panics if alpha is outside
-// (0,1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("metrics: EWMA alpha %v out of (0,1]", alpha))
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Observe folds a sample into the average.
-func (e *EWMA) Observe(v float64) {
-	e.mu.Lock()
-	if !e.init {
-		e.value, e.init = v, true
-	} else {
-		e.value = e.alpha*v + (1-e.alpha)*e.value
-	}
-	e.mu.Unlock()
-}
-
-// Value returns the current average, or 0 before any observation.
-func (e *EWMA) Value() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.value
-}
-
-// Initialized reports whether at least one sample was observed.
-func (e *EWMA) Initialized() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.init
-}
-
-// Summary holds descriptive statistics of a sample set.
-type Summary struct {
-	Count    int
-	Mean     float64
-	Variance float64 // population variance
-	StdDev   float64
-	Min      float64
-	Max      float64
-}
-
-// Summarize computes descriptive statistics of vs. An empty slice yields a
-// zero Summary.
-func Summarize(vs []float64) Summary {
-	if len(vs) == 0 {
-		return Summary{}
-	}
-	s := Summary{Count: len(vs), Min: vs[0], Max: vs[0]}
-	var sum float64
-	for _, v := range vs {
-		sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = sum / float64(len(vs))
-	var ss float64
-	for _, v := range vs {
-		d := v - s.Mean
-		ss += d * d
-	}
-	s.Variance = ss / float64(len(vs))
-	s.StdDev = math.Sqrt(s.Variance)
-	return s
-}
-
 // QueueImbalance quantifies how unevenly work is spread over worker queues:
 // it is the population variance of the queue lengths. This is the value
 // checked by the CheckLoadBalance rule (QueueVarianceBean).
@@ -229,132 +144,17 @@ func QueueImbalance(queueLens []int) float64 {
 	if len(queueLens) == 0 {
 		return 0
 	}
-	vs := make([]float64, len(queueLens))
-	for i, q := range queueLens {
-		vs[i] = float64(q)
+	var sum float64
+	for _, q := range queueLens {
+		sum += float64(q)
 	}
-	return Summarize(vs).Variance
-}
-
-// Timer accumulates duration samples (e.g. per-task service time) and
-// reports aggregate statistics.
-type Timer struct {
-	mu      sync.Mutex
-	count   uint64
-	sum     time.Duration
-	min     time.Duration
-	max     time.Duration
-	samples []time.Duration // bounded reservoir for percentiles
-	cap     int
-}
-
-// NewTimer returns a Timer keeping at most reservoir samples for percentile
-// estimation (0 means the default of 1024).
-func NewTimer(reservoir int) *Timer {
-	if reservoir <= 0 {
-		reservoir = 1024
+	mean := sum / float64(len(queueLens))
+	var ss float64
+	for _, q := range queueLens {
+		d := float64(q) - mean
+		ss += d * d
 	}
-	return &Timer{cap: reservoir}
-}
-
-// Observe records one duration sample.
-func (t *Timer) Observe(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.count == 0 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
-	}
-	t.count++
-	t.sum += d
-	if len(t.samples) < t.cap {
-		t.samples = append(t.samples, d)
-	} else {
-		// Deterministic reservoir: overwrite in round-robin order.
-		t.samples[int(t.count)%t.cap] = d
-	}
-}
-
-// Count returns the number of samples observed.
-func (t *Timer) Count() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
-}
-
-// Mean returns the mean duration, or 0 with no samples.
-func (t *Timer) Mean() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.count == 0 {
-		return 0
-	}
-	return time.Duration(int64(t.sum) / int64(t.count))
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (t *Timer) Min() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.min
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (t *Timer) Max() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.max
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) over the retained
-// reservoir, or 0 with no samples.
-func (t *Timer) Percentile(p float64) time.Duration {
-	if p <= 0 || p > 100 {
-		panic(fmt.Sprintf("metrics: percentile %v out of (0,100]", p))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.samples) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(t.samples))
-	copy(sorted, t.samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
-}
-
-// Gauge is a concurrency-safe instantaneous value. It is lock-free — the
-// value lives in a single atomic word — so sensors can read it while hot
-// paths write it without either side queueing. The zero value reads 0.
-type Gauge struct {
-	bits atomic.Uint64 // math.Float64bits of the current value
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add increments the gauge by d (d may be negative).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	return math.Float64frombits(g.bits.Load())
+	return ss / float64(len(queueLens))
 }
 
 // Series is an append-only time series of (instant, value) samples, used by

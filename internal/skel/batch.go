@@ -215,8 +215,7 @@ func (f *Farm) newDispatcher() *dispatcher {
 // run dispatches the input stream until it closes.
 func (d *dispatcher) run(in <-chan *Task) {
 	f := d.f
-	flushEvery := f.cfg.BatchFlush
-	timer := time.NewTimer(flushEvery)
+	timer := time.NewTimer(defaultBatchFlush)
 	if !timer.Stop() {
 		<-timer.C
 	}
@@ -277,7 +276,7 @@ func (d *dispatcher) run(in <-chan *Task) {
 		}
 		f.arrival.MarkN(arrivals)
 		if d.buffered > 0 && !timerOn {
-			timer.Reset(flushEvery)
+			timer.Reset(defaultBatchFlush)
 			timerOn = true
 		}
 	}

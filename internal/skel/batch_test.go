@@ -366,7 +366,7 @@ func TestFarmBatchedSecureCodec(t *testing.T) {
 	}
 	// Replace the plain initial recruitment with a prepared, secured worker
 	// before any task flows.
-	if _, err := f.AddWorkerWithPrepare(func(id string, node *grid.Node, setCodec func(security.Codec)) error {
+	if _, err := f.AddWorker(func(id string, node *grid.Node, setCodec func(security.Codec)) error {
 		setCodec(security.MustAESGCM(security.NewRandomKey(), nil, 0))
 		return nil
 	}); err != nil {
@@ -414,7 +414,6 @@ func TestFarmBatchFlushDeadline(t *testing.T) {
 		RM:             smpRM(2),
 		InitialWorkers: 1,
 		DispatchBatch:  64, // far larger than the trickle
-		BatchFlush:     2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +518,7 @@ func TestCrossBindingRedistributionLoopback(t *testing.T) {
 			if _, err := f.RemoveWorker(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.AddWorker(); err != nil {
+			if _, err := f.AddWorker(nil); err != nil {
 				t.Fatal(err)
 			}
 			ws = f.Workers()

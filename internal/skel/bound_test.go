@@ -211,7 +211,7 @@ func TestParkedPushWakes(t *testing.T) {
 		{
 			name: "MigrateWorker", workers: 2,
 			release: func(t *testing.T, r *boundRun, victim string) {
-				if _, err := r.f.MigrateWorker(victim, grid.Request{}); err != nil {
+				if _, err := r.f.MigrateWorker(victim, grid.Request{}, nil); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -228,7 +228,7 @@ func TestParkedPushWakes(t *testing.T) {
 				}
 			},
 			settle: func(t *testing.T, r *boundRun, victim string) {
-				if _, err := r.f.AddRecoveryWorker(); err != nil {
+				if _, err := r.f.AddRecoveryWorker(nil); err != nil {
 					t.Fatal(err)
 				}
 				if n, err := r.f.RecoverWorker(victim); err != nil || n == 0 {

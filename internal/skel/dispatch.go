@@ -143,19 +143,23 @@ func (f *Farm) decideTargetIndex(avail []*worker, rr *int) int {
 	return best
 }
 
-// admittedLocked appends the live, selector-admitted workers (excluding
-// skip, which may be nil) to buf and returns it. Callers hold f.mu.
-func (f *Farm) admittedLocked(buf []*worker, skip *worker) []*worker {
+// liveLocked returns the live pool members — neither crashed nor exited —
+// other than skip (which may be nil) that sel admits; the zero Selector
+// admits every live worker. Callers hold f.mu.
+func (f *Farm) liveLocked(skip *worker, sel Selector) []*worker {
+	var live []*worker
 	for _, w := range f.workers {
-		if w == skip || w.failed || w.exited {
-			continue
+		if w != skip && !w.failed && !w.exited && sel.admits(w) {
+			live = append(live, w)
 		}
-		if !f.cfg.Selector.admits(w) {
-			continue
-		}
-		buf = append(buf, w)
 	}
-	return buf
+	return live
+}
+
+// admittedLocked returns the live workers the farm's selector admits,
+// excluding skip (which may be nil). Callers hold f.mu.
+func (f *Farm) admittedLocked(skip *worker) []*worker {
+	return f.liveLocked(skip, f.cfg.Selector)
 }
 
 // restoreTargetsLocked picks the live workers eligible to receive
@@ -166,15 +170,8 @@ func (f *Farm) admittedLocked(buf []*worker, skip *worker) []*worker {
 // stranding recovered tasks on a constraint would deadlock the run.
 // Callers hold f.mu.
 func (f *Farm) restoreTargetsLocked(skip *worker) []*worker {
-	if targets := f.admittedLocked(nil, skip); len(targets) > 0 {
+	if targets := f.admittedLocked(skip); len(targets) > 0 {
 		return targets
 	}
-	var live []*worker
-	for _, w := range f.workers {
-		if w == skip || w.failed || w.exited {
-			continue
-		}
-		live = append(live, w)
-	}
-	return live
+	return f.liveLocked(skip, Selector{})
 }

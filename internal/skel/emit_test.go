@@ -65,7 +65,7 @@ func TestReduceFoldSurvivesKillRecover(t *testing.T) {
 		if _, err := f.RecoverWorker(victim); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.AddWorker(); err != nil {
+		if _, err := f.AddWorker(nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -117,11 +117,6 @@ type FarmConfig struct {
 	// 0 or 1 (the default) sends every task as a one-task envelope through
 	// the same path, with no flush deadline.
 	DispatchBatch int
-	// BatchFlush bounds how long a partially filled batch may wait for
-	// more input before it is sealed and pushed anyway (wall-clock; default
-	// 500µs). Under saturation batches fill before the deadline and the
-	// timer never fires; under trickle load it caps the added latency.
-	BatchFlush time.Duration
 	// Tracer samples per-task spans of the hot path's stage-latency
 	// decomposition (enqueue, route, seal, queue-wait, wire, exec, reseal,
 	// result). Like Instruments it is nil-gated; unlike Instruments the
@@ -136,7 +131,10 @@ type FarmConfig struct {
 // build envelopes whose sealed form dwarfs the wire frame limit.
 const maxDispatchBatch = 1024
 
-// defaultBatchFlush is the flush-on-idle deadline when none is configured.
+// defaultBatchFlush bounds how long a partially filled batch may wait for
+// more input before it is sealed and pushed anyway (wall-clock). Under
+// saturation batches fill before the deadline and the timer never fires;
+// under trickle load it caps the added latency.
 const defaultBatchFlush = 500 * time.Microsecond
 
 // envelope is one message on a worker binding: up to DispatchBatch tasks
@@ -367,9 +365,6 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	if cfg.DispatchBatch < 1 {
 		cfg.DispatchBatch = 1
 	}
-	if cfg.BatchFlush <= 0 {
-		cfg.BatchFlush = defaultBatchFlush
-	}
 	cfg.Env = cfg.Env.Modelled()
 	f := &Farm{
 		cfg:       cfg,
@@ -386,7 +381,7 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 // current pool. Every membership or admission change calls it before
 // releasing f.mu, so the dispatcher's next load observes the new set.
 func (f *Farm) refreshRoutesLocked() {
-	f.routes.Store(&routeTable{workers: f.admittedLocked(nil, nil)})
+	f.routes.Store(&routeTable{workers: f.admittedLocked(nil)})
 }
 
 // Name implements Stage.
@@ -413,7 +408,7 @@ func (f *Farm) Run(_ context.Context, in <-chan *Task, out chan<- *Task) {
 	f.out = out
 	f.mu.Unlock()
 	for i := 0; i < f.cfg.InitialWorkers; i++ {
-		if _, err := f.AddWorker(); err != nil {
+		if _, err := f.AddWorker(nil); err != nil {
 			f.reportErr(fmt.Errorf("skel: farm %s initial worker %d: %w", f.cfg.Name, i, err))
 			break
 		}
@@ -454,7 +449,7 @@ func (f *Farm) sendRouted(t *Task) {
 // it), and because a worker decides to exit under f.mu, the target picked
 // here cannot retire before popping it. Callers hold f.mu.
 func (f *Farm) routeLocked(t *Task) {
-	avail := f.admittedLocked(nil, nil)
+	avail := f.admittedLocked(nil)
 	hasFailed := false
 	for _, w := range f.workers {
 		if w.failed {
@@ -491,8 +486,8 @@ func (f *Farm) routeLocked(t *Task) {
 	}
 }
 
-// flushPendingLocked re-dispatches every parked task; the add paths call
-// it in the same critical section that makes a new worker dispatchable, so
+// flushPendingLocked re-dispatches every parked task; provision calls it
+// in the same critical section that makes a new worker dispatchable, so
 // no stream end can close the newcomer's queue in between. Each task goes
 // through the unified decision path again and is re-encoded with its new
 // binding's codec, so a task parked during a crash storm cannot leave with

@@ -201,7 +201,7 @@ func TestFarmConservationUnderChaos(t *testing.T) {
 			in <- &Task{ID: id, Work: time.Duration(rng.Intn(40)) * time.Millisecond}
 			switch rng.Intn(6) {
 			case 0:
-				f.AddWorker()
+				f.AddWorker(nil)
 			case 1:
 				f.RemoveWorker()
 			case 2:
@@ -217,7 +217,7 @@ func TestFarmConservationUnderChaos(t *testing.T) {
 								if _, err := f.RecoverWorker(victim.ID); err == nil {
 									break
 								}
-								if _, err := f.AddRecoveryWorker(); err != nil {
+								if _, err := f.AddRecoveryWorker(nil); err != nil {
 									time.Sleep(time.Millisecond)
 								}
 							}
@@ -262,10 +262,10 @@ func TestAddRecoveryWorkerAfterRunCompletes(t *testing.T) {
 	rm := smpRM(4)
 	f, _ := NewFarm(FarmConfig{Name: "ft", Env: fastEnv(), RM: rm, InitialWorkers: 1})
 	runStage(t, f, mkTasks(2, 0)) // completes the stream
-	if _, err := f.AddWorker(); err != ErrStreamEnded {
+	if _, err := f.AddWorker(nil); err != ErrStreamEnded {
 		t.Fatalf("AddWorker post-stream err = %v", err)
 	}
-	if _, err := f.AddRecoveryWorker(); err != ErrStreamEnded {
+	if _, err := f.AddRecoveryWorker(nil); err != ErrStreamEnded {
 		t.Fatalf("AddRecoveryWorker after completed run err = %v, want ErrStreamEnded", err)
 	}
 	if rm.CoresInUse() != 0 {
@@ -304,7 +304,7 @@ func TestAddRecoveryWorkerRecoversStrandedPostStream(t *testing.T) {
 	}
 	close(in) // input done, but stranded tasks keep the results open
 
-	id, err := f.AddRecoveryWorker()
+	id, err := f.AddRecoveryWorker(nil)
 	if err != nil {
 		t.Fatalf("AddRecoveryWorker with stranded tasks err = %v", err)
 	}

@@ -51,12 +51,6 @@ func (f *Farm) bindCodec(w *worker, c security.Codec) error {
 	return nil
 }
 
-// AddWorker recruits a node and adds a worker to the pool. It returns the
-// new worker's ID. It is the ADD_EXECUTOR actuator.
-func (f *Farm) AddWorker() (string, error) {
-	return f.AddWorkerWithPrepare(nil)
-}
-
 // PrepareFunc runs between recruitment and the instant a new worker becomes
 // dispatchable: it is the hook the two-phase multi-concern protocol of §3.2
 // uses to let the security manager secure the binding *before* any task can
@@ -64,53 +58,66 @@ func (f *Farm) AddWorker() (string, error) {
 // aborts the addition and releases the recruited node.
 type PrepareFunc func(id string, node *grid.Node, setCodec func(security.Codec)) error
 
-// AddWorkerWithPrepare is AddWorker with a preparation phase.
-func (f *Farm) AddWorkerWithPrepare(prepare PrepareFunc) (string, error) {
+// AddWorker recruits a node and adds a worker to the pool, running prepare
+// (when non-nil) before the worker becomes dispatchable. It returns the new
+// worker's ID. It is the ADD_EXECUTOR actuator, refused once the input has
+// ended.
+func (f *Farm) AddWorker(prepare PrepareFunc) (string, error) {
 	return f.addWorker(prepare, false)
 }
 
-// AddRecoveryWorker recruits a worker even after the input stream has
-// ended, for the sole purpose of processing tasks stranded by a crash. Its
-// queue stays open until a subsequent RecoverWorker restores the stranded
-// tasks into it and (post-stream) closes it, so the worker drains the
-// recovered tasks and exits. It is the fault-tolerance manager's fallback
-// when a crash leaves no live worker behind.
+// AddRecoveryWorker is AddWorker for the sole purpose of processing tasks
+// stranded by a crash, so it also works after the input stream has ended,
+// and its prepare hook keeps recovery recruitment under the two-phase
+// protocol too. Its queue stays open until a subsequent RecoverWorker
+// restores the stranded tasks into it and (post-stream) closes it, so the
+// worker drains the recovered tasks and exits. It is the fault-tolerance
+// manager's fallback when a crash leaves no live worker behind.
 //
 // Once the run has completed — the result stream is closed, meaning no
 // stranded task can remain — it returns ErrStreamEnded: a worker recruited
 // then would block forever on an open empty queue (goroutine + node leak)
 // and any result it computed would be sent on the closed output stream.
-func (f *Farm) AddRecoveryWorker() (string, error) {
-	return f.AddRecoveryWorkerWithPrepare(nil)
-}
-
-// AddRecoveryWorkerWithPrepare is AddRecoveryWorker with the same
-// preparation phase as AddWorkerWithPrepare, so recovery recruitment obeys
-// the two-phase security protocol too: a replacement landing on an
-// untrusted node gets its binding secured before any stranded task can
-// reach it.
-func (f *Farm) AddRecoveryWorkerWithPrepare(prepare PrepareFunc) (string, error) {
+func (f *Farm) AddRecoveryWorker(prepare PrepareFunc) (string, error) {
 	return f.addWorker(prepare, true)
 }
 
-// addWorker is the body of both add paths: recruit, attach the transport
-// session, run the prepare phase, then make the worker dispatchable and
-// hand it any parked tasks in one critical section. A regular addition is
+// addWorker is the body of both add paths: the worker goes at the end of
+// the pool, where RemoveWorker takes it back from. A regular addition is
 // refused once the input has ended, a recovery one only once the result
-// stream has closed.
+// stream has closed (which implies the input ended).
 func (f *Farm) addWorker(prepare PrepareFunc, recovery bool) (string, error) {
-	ended := func() bool {
-		if recovery {
-			return f.resultsClosed
+	admit := func() (security.Codec, error) {
+		if f.resultsClosed || (f.inputDone && !recovery) {
+			return nil, ErrStreamEnded
 		}
-		return f.inputDone
+		return nil, nil
 	}
+	return f.provision(f.cfg.Recruit, prepare, admit, func(w *worker) { f.workers = append(f.workers, w) })
+}
+
+// provision is the one provisioning step of every actuator that brings a
+// worker in (AddWorker, AddRecoveryWorker, MigrateWorker). Under f.mu,
+// admit vets the change and names the codec the worker starts from (nil
+// keeps Plain, the zero epoch every session opens with), and a node is
+// recruited under req. Off-lock — dialing, rekeys and the §3.2 handshake
+// are real I/O — the transport session is dialed, the starting codec bound
+// and the prepare hook run, so the binding is secured before any task can
+// reach the worker, across processes too: a remote worker's codec install
+// crosses the wire (bindCodec), and a failed rekey aborts the change. Back
+// under f.mu, admit vets the change again (the pool may have moved
+// meanwhile), place puts the worker in the pool, and the worker becomes
+// dispatchable, takes any parked tasks and starts, all in one critical
+// section, so no stream end can close its queue in between. Every failure
+// releases the node and closes the session.
+func (f *Farm) provision(req grid.Request, prepare PrepareFunc, admit func() (security.Codec, error), place func(*worker)) (string, error) {
 	f.mu.Lock()
-	if ended() {
+	start, err := admit()
+	if err != nil {
 		f.mu.Unlock()
-		return "", ErrStreamEnded
+		return "", err
 	}
-	node, err := f.cfg.RM.Recruit(f.cfg.Recruit)
+	node, err := f.cfg.RM.Recruit(req)
 	if err != nil {
 		f.recruitFailed = true
 		f.mu.Unlock()
@@ -119,20 +126,25 @@ func (f *Farm) addWorker(prepare PrepareFunc, recovery bool) (string, error) {
 	w := f.newWorkerLocked(node, security.Plain{})
 	f.mu.Unlock()
 
+	abort := func(err error) (string, error) {
+		node.Release()
+		w.closeExec()
+		return "", err
+	}
 	exec, err := f.executorFor(node)
 	if err != nil {
-		node.Release()
-		return "", fmt.Errorf("skel: dial executor for %s: %w", w.id, err)
+		return abort(fmt.Errorf("skel: dial executor for %s: %w", w.id, err))
 	}
 	w.exec = exec
-
+	if start != nil {
+		if err := f.bindCodec(w, start); err != nil {
+			return abort(fmt.Errorf("skel: rekey %s: %w", w.id, err))
+		}
+	}
 	if prepare != nil {
 		// The worker is not yet visible to the dispatcher or RecoverWorker,
 		// so the prepare phase (e.g. an SSL handshake) cannot race with task
-		// sends. For a remote worker the codec install crosses the wire
-		// (bindCodec); a failed rekey aborts the addition so a worker whose
-		// binding the security manager could not secure never becomes
-		// dispatchable — the two-phase guarantee holds across processes.
+		// sends.
 		var bindErr error
 		setCodec := func(c security.Codec) {
 			if err := f.bindCodec(w, c); err != nil && bindErr == nil {
@@ -140,25 +152,19 @@ func (f *Farm) addWorker(prepare PrepareFunc, recovery bool) (string, error) {
 			}
 		}
 		if err := prepare(w.id, node, setCodec); err != nil {
-			node.Release()
-			w.closeExec()
-			return "", fmt.Errorf("skel: prepare for %s: %w", w.id, err)
+			return abort(fmt.Errorf("skel: prepare for %s: %w", w.id, err))
 		}
 		if bindErr != nil {
-			node.Release()
-			w.closeExec()
-			return "", fmt.Errorf("skel: prepare rekey for %s: %w", w.id, bindErr)
+			return abort(fmt.Errorf("skel: prepare rekey for %s: %w", w.id, bindErr))
 		}
 	}
 
 	f.mu.Lock()
-	if ended() {
+	if _, err := admit(); err != nil {
 		f.mu.Unlock()
-		node.Release()
-		w.closeExec()
-		return "", ErrStreamEnded
+		return abort(err)
 	}
-	f.workers = append(f.workers, w)
+	place(w)
 	f.active++
 	f.everHadWorker = true
 	f.refreshRoutesLocked()
@@ -166,6 +172,40 @@ func (f *Farm) addWorker(prepare PrepareFunc, recovery bool) (string, error) {
 	f.mu.Unlock()
 	go f.runWorker(w)
 	return w.id, nil
+}
+
+// lookupLocked returns the pool member with the given id and its index in
+// the pool. Callers hold f.mu.
+func (f *Farm) lookupLocked(workerID string) (int, *worker, error) {
+	for i, w := range f.workers {
+		if w.id == workerID {
+			return i, w, nil
+		}
+	}
+	return -1, nil, fmt.Errorf("%w: %s", ErrNoWorker, workerID)
+}
+
+// redistributeLocked is the one redistribution step of the actuators
+// (RemoveWorker, Rebalance, RecoverWorker, MigrateWorker): it drains the
+// queues of from, splits batch envelopes into one-task ones and deals them
+// round-robin over targets, envelope i to targets[i%len(targets)]. restore
+// never waits, so no actuator blocks under f.mu. It returns how many
+// envelopes moved. Callers hold f.mu and pass a target whenever from holds
+// tasks.
+func (f *Farm) redistributeLocked(targets []*worker, from ...*worker) int {
+	var all []*envelope
+	for _, w := range from {
+		all = append(all, w.queue.drain()...)
+	}
+	all = f.splitEnvelopesLocked(all)
+	for i, w := range targets {
+		var share []*envelope
+		for j := i; j < len(all); j += len(targets) {
+			share = append(share, all[j])
+		}
+		w.queue.restore(share...)
+	}
+	return len(all)
 }
 
 // RemoveWorker removes the most recently added worker, redistributing its
@@ -180,27 +220,13 @@ func (f *Farm) RemoveWorker() (string, error) {
 	if w.failed {
 		return "", fmt.Errorf("skel: worker %s crashed; use RecoverWorker", w.id)
 	}
-	live := 0
-	for _, other := range f.workers[:len(f.workers)-1] {
-		if !other.exited && !other.failed {
-			live++
-		}
-	}
-	if live == 0 {
+	if len(f.liveLocked(w, Selector{})) == 0 {
 		return "", ErrLastWorker
 	}
 	f.workers = f.workers[:len(f.workers)-1]
 	f.refreshRoutesLocked()
-	orphans := f.splitEnvelopesLocked(w.queue.drain())
 	w.queue.close()
-	targets := f.restoreTargetsLocked(nil)
-	for i, other := range targets {
-		var share []*envelope
-		for j := i; j < len(orphans); j += len(targets) {
-			share = append(share, orphans[j])
-		}
-		other.queue.restore(share...)
-	}
+	f.redistributeLocked(f.restoreTargetsLocked(nil), w)
 	return w.id, nil
 }
 
@@ -249,27 +275,8 @@ func (f *Farm) splitEnvelopesLocked(envs []*envelope) []*envelope {
 func (f *Farm) Rebalance() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var live []*worker
-	for _, w := range f.workers {
-		if !w.exited && !w.failed {
-			live = append(live, w)
-		}
-	}
-	targets := f.restoreTargetsLocked(nil)
-	if len(targets) == 0 {
-		return
-	}
-	var all []*envelope
-	for _, w := range live {
-		all = append(all, w.queue.drain()...)
-	}
-	all = f.splitEnvelopesLocked(all)
-	for i, w := range targets {
-		var share []*envelope
-		for j := i; j < len(all); j += len(targets) {
-			share = append(share, all[j])
-		}
-		w.queue.restore(share...)
+	if targets := f.restoreTargetsLocked(nil); len(targets) > 0 {
+		f.redistributeLocked(targets, f.liveLocked(nil, Selector{})...)
 	}
 }
 
@@ -281,23 +288,20 @@ func (f *Farm) Rebalance() {
 // is the fault-tolerance manager's job.
 func (f *Farm) KillWorker(workerID string) error {
 	f.mu.Lock()
-	for _, w := range f.workers {
-		if w.id != workerID {
-			continue
-		}
-		if w.failed || w.exited {
-			f.mu.Unlock()
-			return fmt.Errorf("skel: worker %s is already down", workerID)
-		}
-		w.failed = true
-		w.queue.fail()
-		f.refreshRoutesLocked()
-		f.mu.Unlock()
-		f.hooks.fire() // crash edge: wake the fault manager immediately
-		return nil
+	_, w, err := f.lookupLocked(workerID)
+	if err == nil && (w.failed || w.exited) {
+		err = fmt.Errorf("skel: worker %s is already down", workerID)
 	}
+	if err != nil {
+		f.mu.Unlock()
+		return err
+	}
+	w.failed = true
+	w.queue.fail()
+	f.refreshRoutesLocked()
 	f.mu.Unlock()
-	return fmt.Errorf("%w: %s", ErrNoWorker, workerID)
+	f.hooks.fire() // crash edge: wake the fault manager immediately
+	return nil
 }
 
 // RecoverWorker repairs a crashed worker: its stranded tasks are
@@ -307,142 +311,79 @@ func (f *Farm) KillWorker(workerID string) error {
 func (f *Farm) RecoverWorker(workerID string) (recovered int, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	idx := -1
-	var dead *worker
-	for i, w := range f.workers {
-		if w.id == workerID {
-			idx, dead = i, w
-			break
-		}
-	}
-	if dead == nil {
-		return 0, fmt.Errorf("%w: %s", ErrNoWorker, workerID)
+	idx, dead, err := f.lookupLocked(workerID)
+	if err != nil {
+		return 0, err
 	}
 	if !dead.failed {
 		return 0, fmt.Errorf("skel: worker %s has not failed", workerID)
 	}
 	live := f.restoreTargetsLocked(dead)
-	orphans := f.splitEnvelopesLocked(dead.queue.drain())
-	if len(orphans) > 0 && len(live) == 0 {
-		// Nothing to recover onto: put the tasks back and refuse, so the
-		// caller can AddWorker first.
-		dead.queue.restore(orphans...)
+	if len(live) == 0 && dead.queue.len() > 0 {
+		// Nothing to recover onto: leave the tasks stranded and refuse, so
+		// the caller can AddWorker first.
 		return 0, errors.New("skel: no live worker to recover onto")
 	}
-	for i, w := range live {
-		var share []*envelope
-		for j := i; j < len(orphans); j += len(live) {
-			share = append(share, orphans[j])
-		}
-		w.queue.restore(share...)
-	}
+	recovered = f.redistributeLocked(live, dead)
 	f.workers = append(f.workers[:idx], f.workers[idx+1:]...)
 	if f.inputDone {
 		// Post-stream recovery targets (AddRecoveryWorker's, or a worker
 		// that stayed on for a recovery) may have open queues; close every
 		// live one so it drains the recovered tasks and exits — or stays on
 		// again while another crashed worker still strands tasks.
-		for _, w := range f.workers {
-			if !w.failed && !w.exited {
-				w.queue.close()
-			}
+		for _, w := range f.liveLocked(nil, Selector{}) {
+			w.queue.close()
 		}
 	}
 	f.refreshRoutesLocked()
 	f.maybeCloseResultsLocked()
-	return len(orphans), nil
+	return recovered, nil
 }
 
 // MigrateWorker moves a worker to a freshly recruited node satisfying req
-// (e.g. a faster or less loaded one): a replacement worker is created on
-// the new node with the same binding codec, the queued tasks move over,
-// and the old worker retires gracefully after its current task. It is the
-// MIGRATE actuator behind the paper's "migration of poorly performing
-// activities to faster execution resources" policy. It returns the new
-// worker's ID.
-func (f *Farm) MigrateWorker(workerID string, req grid.Request) (string, error) {
-	f.mu.Lock()
-	var old *worker
-	for _, w := range f.workers {
-		if w.id == workerID {
-			old = w
-			break
+// (e.g. a faster or less loaded one): a replacement worker is provisioned
+// on the new node starting from the old worker's binding codec, which the
+// prepare hook (when non-nil) may upgrade — a worker that lands on an
+// untrusted node is secured before its first task, as on any addition.
+// The queued tasks move over, and the old worker retires gracefully after
+// its current task. It is the MIGRATE actuator behind the paper's
+// "migration of poorly performing activities to faster execution
+// resources" policy. It returns the new worker's ID.
+func (f *Farm) MigrateWorker(workerID string, req grid.Request, prepare PrepareFunc) (string, error) {
+	var (
+		idx int
+		old *worker
+	)
+	// admit runs before recruitment and again before the swap: a worker
+	// that crashed or left meanwhile abandons the migration rather than
+	// being resurrected behind the fault manager's back.
+	admit := func() (security.Codec, error) {
+		var err error
+		if idx, old, err = f.lookupLocked(workerID); err != nil {
+			return nil, err
 		}
-	}
-	if old == nil {
-		f.mu.Unlock()
-		return "", fmt.Errorf("%w: %s", ErrNoWorker, workerID)
-	}
-	if old.failed || old.exited {
-		f.mu.Unlock()
-		return "", fmt.Errorf("skel: worker %s is down; use RecoverWorker", workerID)
-	}
-	// The migration carries the binding codec observed here; a SetCodec
-	// racing with the migration may land on the retiring worker and be
-	// superseded, which is the same §3.2 reactive hazard SetCodec already
-	// documents for in-flight envelopes.
-	codec := old.getCodec()
-	node, err := f.cfg.RM.Recruit(req)
-	if err != nil {
-		f.mu.Unlock()
-		return "", err
-	}
-	f.mu.Unlock()
-
-	// Dialing the replacement's session and re-keying it are real network
-	// I/O, so both run off-lock; the pool is re-validated before the swap.
-	exec, err := f.executorFor(node)
-	if err != nil {
-		node.Release()
-		return "", fmt.Errorf("skel: migrate %s: %w", workerID, err)
-	}
-	if exec != nil {
-		wrapped, err := exec.Rekey(codec)
-		if err != nil {
-			node.Release()
-			_ = exec.Close()
-			return "", fmt.Errorf("skel: migrate %s rekey: %w", workerID, err)
+		if old.failed || old.exited {
+			return nil, fmt.Errorf("skel: worker %s is down; use RecoverWorker", workerID)
 		}
-		codec = wrapped
+		// The migration starts from the binding codec observed here; a
+		// SetCodec racing with the migration may land on the retiring
+		// worker and be superseded, which is the same §3.2 reactive hazard
+		// SetCodec already documents for in-flight envelopes.
+		return old.getCodec(), nil
 	}
-
-	f.mu.Lock()
-	idx := -1
-	for i, w := range f.workers {
-		if w == old {
-			idx = i
-			break
+	return f.provision(req, prepare, admit, func(fresh *worker) {
+		f.workers[idx] = fresh
+		// The old worker finishes its current task and exits. Its batch
+		// envelopes split on the way over, so every moved envelope carries
+		// one task under the codec it was sealed with; the compute bodies
+		// handle that cross-binding case (loopback decodes with the carried
+		// codec, remote resolves a foreign codec by resealing).
+		old.queue.close()
+		f.redistributeLocked([]*worker{fresh}, old)
+		if f.inputDone {
+			fresh.queue.close()
 		}
-	}
-	if idx == -1 || old.failed || old.exited {
-		// The worker crashed or left while we were dialing: abandon the
-		// migration rather than resurrect it behind the fault manager's
-		// back.
-		f.mu.Unlock()
-		node.Release()
-		if exec != nil {
-			_ = exec.Close()
-		}
-		return "", fmt.Errorf("skel: worker %s went down during migration", workerID)
-	}
-	fresh := f.newWorkerLocked(node, codec)
-	fresh.exec = exec
-	// Batch envelopes split on migration too, so every moved envelope
-	// carries one task under the codec it was sealed with; the compute
-	// bodies handle that cross-binding case (loopback decodes with the
-	// carried codec, remote resolves a foreign codec by resealing).
-	items := f.splitEnvelopesLocked(old.queue.drain())
-	old.queue.close() // the old worker finishes its current task and exits
-	fresh.queue.restore(items...)
-	if f.inputDone {
-		fresh.queue.close()
-	}
-	f.workers[idx] = fresh
-	f.active++
-	f.refreshRoutesLocked()
-	f.mu.Unlock()
-	go f.runWorker(fresh)
-	return fresh.id, nil
+	})
 }
 
 // SetCodec rebinds a worker connection onto a (secure) codec. Subsequent
@@ -458,16 +399,10 @@ func (f *Farm) SetCodec(workerID string, c security.Codec) error {
 		return errors.New("skel: nil codec")
 	}
 	f.mu.Lock()
-	var target *worker
-	for _, w := range f.workers {
-		if w.id == workerID {
-			target = w
-			break
-		}
-	}
+	_, target, err := f.lookupLocked(workerID)
 	f.mu.Unlock()
-	if target == nil {
-		return fmt.Errorf("%w: %s", ErrNoWorker, workerID)
+	if err != nil {
+		return err
 	}
 	// bindCodec runs off-lock: for a remote binding it writes the rekey
 	// frame to the wire, and the actuator must not stall sensors behind

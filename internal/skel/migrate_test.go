@@ -2,10 +2,13 @@ package skel
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/grid"
+	"repro/internal/runtime/leaktest"
 	"repro/internal/security"
 )
 
@@ -41,7 +44,7 @@ func TestMigrateWorkerMovesQueueAndCompletes(t *testing.T) {
 	rm2 := grid.NewResourceManager(slow, fast)
 	_ = rm2 // the farm keeps its own RM; recruit via a fresh request below
 	victim := f.Workers()[0].ID
-	if _, err := f.MigrateWorker(victim, grid.Request{MinSpeed: 1.0}); err == nil {
+	if _, err := f.MigrateWorker(victim, grid.Request{MinSpeed: 1.0}, nil); err == nil {
 		t.Fatal("migration to a node the RM does not have must fail")
 	}
 
@@ -81,7 +84,7 @@ func TestMigrateWorkerMovesQueueAndCompletes(t *testing.T) {
 
 	fastSlot.Release() // the fast node becomes available
 	oldID := f2.Workers()[0].ID
-	newID, err := f2.MigrateWorker(oldID, grid.Request{MinSpeed: 1.0})
+	newID, err := f2.MigrateWorker(oldID, grid.Request{MinSpeed: 1.0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +121,14 @@ func TestMigrateWorkerErrors(t *testing.T) {
 	done := make(chan struct{})
 	go func() { f.Run(context.Background(), in, out); close(done) }()
 	waitFor(t, func() bool { return len(f.Workers()) == 2 })
-	if _, err := f.MigrateWorker("nope", grid.Request{}); err == nil {
+	if _, err := f.MigrateWorker("nope", grid.Request{}, nil); err == nil {
 		t.Fatal("migration of unknown worker accepted")
 	}
 	victim := f.Workers()[0].ID
 	if err := f.KillWorker(victim); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.MigrateWorker(victim, grid.Request{}); err == nil {
+	if _, err := f.MigrateWorker(victim, grid.Request{}, nil); err == nil {
 		t.Fatal("migration of crashed worker accepted")
 	}
 	if _, err := f.RecoverWorker(victim); err != nil {
@@ -151,7 +154,7 @@ func TestMigrateWorkerKeepsCodec(t *testing.T) {
 	if err := f.SetCodec(old.ID, mustGCM(key)); err != nil {
 		t.Fatal(err)
 	}
-	newID, err := f.MigrateWorker(old.ID, grid.Request{})
+	newID, err := f.MigrateWorker(old.ID, grid.Request{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,4 +169,107 @@ func TestMigrateWorkerKeepsCodec(t *testing.T) {
 
 func mustGCM(key []byte) security.Codec {
 	return security.MustAESGCM(key, nil, 0)
+}
+
+// TestMigrateWorkerRunsPrepare pins the two-phase guarantee on migration: a
+// worker moved onto an untrusted node runs the prepare hook with its own id
+// and node before it becomes dispatchable, so the hook can secure it.
+func TestMigrateWorkerRunsPrepare(t *testing.T) {
+	defer leaktest.Check(t)()
+	trusted := grid.NewNode("t0", grid.Domain{Name: "t", Trusted: true}, 1, 1.0)
+	untrusted := grid.NewNode("u0", grid.Domain{Name: "u"}, 1, 1.0)
+	f, _ := NewFarm(FarmConfig{Name: "migprep", Env: fastEnv(), RM: grid.NewResourceManager(trusted, untrusted)})
+	in := make(chan *Task)
+	out := make(chan *Task, 16)
+	done := make(chan struct{})
+	go func() { f.Run(context.Background(), in, out); close(done) }()
+	waitFor(t, func() bool { return len(f.Workers()) == 1 })
+	old := f.Workers()[0]
+	if old.Node != trusted {
+		t.Fatalf("initial worker on %s, want t0", old.Node.ID)
+	}
+
+	var gotID string
+	var gotNode *grid.Node
+	newID, err := f.MigrateWorker(old.ID, grid.Request{}, func(id string, node *grid.Node, setCodec func(security.Codec)) error {
+		gotID, gotNode = id, node
+		if !node.Domain.Trusted {
+			setCodec(mustGCM(security.NewRandomKey()))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotID != newID || gotNode != untrusted {
+		t.Fatalf("prepare called with (%q, %v), want (%q, u0)", gotID, gotNode, newID)
+	}
+	ws := f.Workers()
+	if len(ws) != 1 || ws[0].ID != newID || ws[0].Node != untrusted || !ws[0].Secure {
+		t.Fatalf("workers after migration: %+v", ws)
+	}
+	close(in)
+	<-done
+	for range out {
+	}
+}
+
+// rekeyFailExec is a remote session whose every rekey fails; it counts the
+// sessions closed.
+type rekeyFailExec struct {
+	countingExec
+	closed *atomic.Int64
+}
+
+func (e rekeyFailExec) Rekey(security.Codec) (security.Codec, error) {
+	return nil, errors.New("rekey refused")
+}
+func (e rekeyFailExec) Close() error { e.closed.Add(1); return nil }
+
+// TestProvisionFailureRollsBack pins the failure paths of the one
+// provisioning step: when the binding cannot be installed on the new
+// worker's session, AddWorker and MigrateWorker both fail, release the
+// recruited node, close the session and leave the pool as it was.
+func TestProvisionFailureRollsBack(t *testing.T) {
+	defer leaktest.Check(t)()
+	var execs, closed atomic.Int64
+	rm := smpRM(4)
+	f, _ := NewFarm(FarmConfig{
+		Name: "provfail", Env: fastEnv(), RM: rm,
+		Executors: func(*grid.Node) (Executor, error) {
+			return rekeyFailExec{countingExec{&execs}, &closed}, nil
+		},
+	})
+	in := make(chan *Task)
+	out := make(chan *Task, 16)
+	done := make(chan struct{})
+	go func() { f.Run(context.Background(), in, out); close(done) }()
+	waitFor(t, func() bool { return len(f.Workers()) == 1 })
+	before, cores := f.Workers(), rm.CoresInUse()
+	check := func(what string, err error, wantClosed int64) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s succeeded with a failing rekey", what)
+		}
+		if n := rm.CoresInUse(); n != cores {
+			t.Fatalf("%s: %d cores in use, want %d (recruited node not released)", what, n, cores)
+		}
+		if n := closed.Load(); n != wantClosed {
+			t.Fatalf("%s: %d sessions closed, want %d", what, n, wantClosed)
+		}
+		if ws := f.Workers(); len(ws) != 1 || ws[0].ID != before[0].ID {
+			t.Fatalf("%s changed the pool: %+v", what, ws)
+		}
+	}
+	_, err := f.AddWorker(func(_ string, _ *grid.Node, setCodec func(security.Codec)) error {
+		setCodec(mustGCM(security.NewRandomKey()))
+		return nil
+	})
+	check("AddWorker", err, 1)
+	_, err = f.MigrateWorker(before[0].ID, grid.Request{}, nil)
+	check("MigrateWorker", err, 2)
+	close(in)
+	<-done
+	for range out {
+	}
 }

@@ -59,7 +59,7 @@ func TestDispatchParksWhenAllWorkersCrashed(t *testing.T) {
 
 	// Recovery: a fresh worker joins (flushing the parked tasks), then the
 	// crashed workers' stranded queues are recovered onto it.
-	if _, err := f.AddRecoveryWorker(); err != nil {
+	if _, err := f.AddRecoveryWorker(nil); err != nil {
 		t.Fatalf("AddRecoveryWorker: %v", err)
 	}
 	for _, w := range f.Workers() {

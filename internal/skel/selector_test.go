@@ -87,10 +87,10 @@ func TestRedistributionHonorsSelector(t *testing.T) {
 	// Grow onto the remote nodes (trusted ranks first, so the two locals
 	// are taken; the next adds recruit remote capacity), then exercise
 	// every redistribution actuator while tasks are queued.
-	if _, err := f.AddWorker(); err != nil {
+	if _, err := f.AddWorker(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.AddWorker(); err != nil {
+	if _, err := f.AddWorker(nil); err != nil {
 		t.Fatal(err)
 	}
 	feed(40)

@@ -217,7 +217,7 @@ func TestFarmAddRemoveWorker(t *testing.T) {
 	go func() { f.Run(context.Background(), in, out); close(done) }()
 	waitFor(t, func() bool { return len(f.Workers()) == 2 })
 
-	id, err := f.AddWorker()
+	id, err := f.AddWorker(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestFarmAddRemoveWorker(t *testing.T) {
 func TestFarmAddWorkerAfterEndOfStream(t *testing.T) {
 	f, _ := NewFarm(FarmConfig{Name: "f", Env: fastEnv(), RM: smpRM(4)})
 	runStage(t, f, mkTasks(1, 0))
-	if _, err := f.AddWorker(); err != ErrStreamEnded {
+	if _, err := f.AddWorker(nil); err != ErrStreamEnded {
 		t.Fatalf("err = %v, want ErrStreamEnded", err)
 	}
 }
@@ -254,7 +254,7 @@ func TestFarmAddWorkerResourceExhaustion(t *testing.T) {
 	out := make(chan *Task)
 	go f.Run(context.Background(), in, out)
 	waitFor(t, func() bool { return len(f.Workers()) == 1 })
-	if _, err := f.AddWorker(); err == nil {
+	if _, err := f.AddWorker(nil); err == nil {
 		t.Fatal("recruit beyond capacity succeeded")
 	}
 	close(in)
@@ -313,8 +313,8 @@ func TestFarmRebalance(t *testing.T) {
 	waitBlocked(2)
 	// Add two empty workers, then one task per worker in round-robin
 	// order: the two new workers pop theirs and block too.
-	f.AddWorker()
-	f.AddWorker()
+	f.AddWorker(nil)
+	f.AddWorker(nil)
 	for i := 0; i < 4; i++ {
 		in <- &Task{ID: NextTaskID(), Work: time.Second}
 	}

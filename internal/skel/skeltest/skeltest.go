@@ -82,7 +82,7 @@ func Stress(t *testing.T, cfg skel.FarmConfig, total int) {
 	grow := true
 	hammer(func() {
 		if grow {
-			f.AddWorker() // may fail post-stream or on exhaustion; ignore
+			f.AddWorker(nil) // may fail post-stream or on exhaustion; ignore
 		} else {
 			f.RemoveWorker() // may hit ErrLastWorker; ignore
 		}

@@ -392,7 +392,7 @@ func TestNoPlaintextOnTheWire(t *testing.T) {
 	// Two-phase add: the binding is sealed before the worker can receive a
 	// task, so not even the first payload crosses in clear.
 	key := security.NewRandomKey()
-	if _, err := farm.AddWorkerWithPrepare(func(id string, node *grid.Node, setCodec func(security.Codec)) error {
+	if _, err := farm.AddWorker(func(id string, node *grid.Node, setCodec func(security.Codec)) error {
 		setCodec(security.MustAESGCM(key, nil, 0))
 		return nil
 	}); err != nil {
@@ -688,7 +688,7 @@ func TestBatchedNoPlaintextOnTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := security.NewRandomKey()
-	if _, err := farm.AddWorkerWithPrepare(func(id string, node *grid.Node, setCodec func(security.Codec)) error {
+	if _, err := farm.AddWorker(func(id string, node *grid.Node, setCodec func(security.Codec)) error {
 		setCodec(security.MustAESGCM(key, nil, 0))
 		return nil
 	}); err != nil {
@@ -812,7 +812,7 @@ func TestCrossBindingRedistributionTCP(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				key := security.NewRandomKey()
 				keys = append(keys, key)
-				if _, err := farm.AddWorkerWithPrepare(func(id string, node *grid.Node, setCodec func(security.Codec)) error {
+				if _, err := farm.AddWorker(func(id string, node *grid.Node, setCodec func(security.Codec)) error {
 					setCodec(security.MustAESGCM(key, nil, 0))
 					return nil
 				}); err != nil {
